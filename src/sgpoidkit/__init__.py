@@ -70,6 +70,7 @@ from .genrep import (
     compose_arrows,
     derive_table,
     embed,
+    full_transformation_arrows,
     full_transformation_sgpoid,
     generate,
     minimal_representation,

@@ -36,6 +36,7 @@ from .errors import (
 from .genrep import (
     TransformationArrow,
     embed,
+    full_transformation_arrows,
     full_transformation_sgpoid,
     generate,
     minimal_representation,
@@ -258,7 +259,7 @@ def _cmd_represent(opts: dict) -> int:
     table = _load_table(opts["table"])
     if opts.get("minimal"):
         graph, degrees, amap = minimal_representation(table)
-        target = full_transformation_sgpoid(degrees, graph)
+        arrows = full_transformation_arrows(degrees, graph)
     else:
         if not opts.get("graph") or not opts.get("degrees"):
             raise DomainError("represent needs --minimal or --graph with --degrees")
@@ -270,13 +271,14 @@ def _cmd_represent(opts: dict) -> int:
         if amap is None:
             print("no embedding", file=sys.stderr)
             return 1
+        arrows = target.arrows
     print(
         json.dumps(
             {
                 "graph": graph.to_json(),
                 "degrees": list(degrees),
                 "images": list(amap.images),
-                "arrows": [target.arrows[i].to_json() for i in amap.images],
+                "arrows": [arrows[i].to_json() for i in amap.images],
             },
             sort_keys=True,
         )
@@ -346,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--graph")
     p.add_argument("--degrees")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--permissive", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--strict", action="store_true")
+    mode.add_argument("--permissive", action="store_true")
 
     return parser
 

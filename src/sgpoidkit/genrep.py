@@ -151,11 +151,11 @@ class FullTransformationSgpoid:
     table: CompositionTable
 
 
-def full_transformation_sgpoid(
+def full_transformation_arrows(
     degrees: Sequence[int], graph: ArrowTypeGraph
-) -> FullTransformationSgpoid:
-    """Build the full transformation semigroupoid for per-type degrees d and
-    a transitively closed graph: d[c]**d[d] arrows per arc (d, c)."""
+) -> tuple:
+    """The arrows of :func:`full_transformation_sgpoid`, in the same order,
+    without building the composition table."""
     degrees = tuple(degrees)
     if any(d < 1 for d in degrees):
         raise DomainError("every type needs at least one state")
@@ -163,12 +163,79 @@ def full_transformation_sgpoid(
         raise DomainError("degree list length does not match the object count")
     if not is_transitively_closed(graph):
         raise DomainError("graph must be transitively closed")
-    arrows = []
+    return tuple(
+        TransformationArrow(d, c, mapping)
+        for d, c in graph.sorted_arcs
+        for mapping in itertools.product(range(degrees[c]), repeat=degrees[d])
+    )
+
+
+def _full_table(
+    degrees: tuple, graph: ArrowTypeGraph, arrows: tuple
+) -> CompositionTable:
+    # Composition by index arithmetic; see full_transformation_sgpoid.
+    offset = {}
+    outgoing: dict = {}
+    n = 0
     for d, c in graph.sorted_arcs:
-        for mapping in itertools.product(range(degrees[c]), repeat=degrees[d]):
-            arrows.append(TransformationArrow(d, c, mapping))
-    arrows = tuple(arrows)
-    return FullTransformationSgpoid(degrees, graph, arrows, derive_table(arrows))
+        offset[(d, c)] = n
+        outgoing.setdefault(d, []).append(c)
+        n += degrees[c] ** degrees[d]
+    # Columns with domain c are contiguous: pad them with NC on both sides.
+    pads = {}
+    for c, targets in outgoing.items():
+        lo = offset[(c, targets[0])]
+        hi = lo + sum(degrees[e] ** degrees[c] for e in targets)
+        pads[c] = ((NC,) * lo, (NC,) * (n - hi))
+    empty = (NC,) * n
+    # Cells share these int objects instead of each holding a fresh one.
+    index = list(range(n))
+    rows = []
+    for a in arrows:
+        d, c, f = a.dom, a.cod, a.map
+        if c not in pads:
+            rows.append(empty)
+            continue
+        before, after = pads[c]
+        row = list(before)
+        for e in outgoing[c]:
+            base = degrees[e]
+            weights = [0] * degrees[c]
+            place = 1
+            for y in reversed(f):
+                weights[y] += place
+                place *= base
+            # Expand one digit g[y] at a time, in product order of g.
+            ranks = [offset[(d, e)]]
+            for w in weights:
+                steps = [v * w for v in range(base)]
+                ranks = [r + s for r in ranks for s in steps]
+            row.extend(map(index.__getitem__, ranks))
+        row.extend(after)
+        rows.append(tuple(row))
+    return CompositionTable(tuple(rows))
+
+
+def full_transformation_sgpoid(
+    degrees: Sequence[int], graph: ArrowTypeGraph
+) -> FullTransformationSgpoid:
+    """Build the full transformation semigroupoid for per-type degrees d and
+    a transitively closed graph: d[c]**d[d] arrows per arc (d, c).
+
+    Arrows are listed arc by arc in ``graph.sorted_arcs`` order and, within
+    arc (d, c), in ``itertools.product(range(deg[c]), repeat=deg[d])``
+    order, so map f has index ``offset[(d, c)] + sum_x f[x] *
+    deg[c]**(deg[d]-1-x)``.  The table is built from indices alone: (d, c,
+    f) then (c, e, g) is (d, e, g∘f), whose index is ``offset[(d, e)] +
+    sum_y g[y] * W_y`` with ``W_y = sum_{x: f[x]=y} deg[e]**(deg[d]-1-x)``.
+    Pairs whose types do not meet are NC.  :func:`derive_table` on the same
+    arrows gives the same table, one composite at a time.
+    """
+    arrows = full_transformation_arrows(degrees, graph)
+    degrees = tuple(degrees)
+    return FullTransformationSgpoid(
+        degrees, graph, arrows, _full_table(degrees, graph, arrows)
+    )
 
 
 def embed(
@@ -237,9 +304,10 @@ def minimal_representation(
     come from the table's own type structures (every typings' quotient
     graph), from the minimal object count upward; ``widen`` switches to all
     closed graphs on the same object counts, which never lowers the
-    minimum.  Termination: the regular action on arrows (one extra sink
-    state per type) realizes the table with n + m states, so the search is
-    capped there unless ``max_total`` narrows it.
+    minimum.  Targets with fewer arrows than the table are skipped unbuilt.
+    Termination: the regular action on arrows (one extra sink state per
+    type) realizes the table with n + m states, so the search is capped
+    there unless ``max_total`` narrows it.
     """
     if not is_associative(abstract):
         raise DomainError("table is not associative")
@@ -259,6 +327,9 @@ def minimal_representation(
         candidates.sort(key=lambda g: (len(g.arcs), g.m, g.sorted_arcs))
         for graph in candidates:
             for degrees in _degree_vectors(total, graph.m):
+                # Fewer arrows than the table admits no injective map.
+                if sum(degrees[c] ** degrees[d] for d, c in graph.arcs) < n:
+                    continue
                 target = full_transformation_sgpoid(degrees, graph)
                 amap = next(embed(abstract, target, strict=True), None)
                 if amap is not None:

@@ -22,6 +22,7 @@ with ``null`` encoding NC; ``-1`` is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DomainError
@@ -71,6 +72,8 @@ UNSET = _Unset()
 
 ArrowValue = Union[int, _NotComposable]
 
+_INT_OR_NC = {int, _NotComposable}
+
 
 def _check_entry(value, n: int) -> None:
     if value is NC:
@@ -86,9 +89,18 @@ class CompositionTable:
     entries: tuple
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))
         object.__setattr__(self, "entries", rows)
         n = len(rows)
+        # Whole-table check for large tables (below six arrows the loop is
+        # cheaper).  When it fails, the loop names the first bad row or
+        # entry, so accepted tables and errors stay the same.
+        if n > 5 and set(map(len, rows)) == {n}:
+            if set(map(type, chain.from_iterable(rows))) <= _INT_OR_NC:
+                values = set(chain.from_iterable(rows))
+                values.discard(NC)
+                if not values or (min(values) >= 0 and max(values) < n):
+                    return
         for row in rows:
             if len(row) != n:
                 raise DomainError("composition table must be square")

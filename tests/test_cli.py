@@ -173,6 +173,34 @@ def test_represent_minimal(tmp_path, z2, capsys):
     assert len(payload["images"]) == 2
 
 
+# Recorded before full targets were built by index arithmetic; the 3-arrow
+# null semigroup needs the 256-arrow monoid T_4.
+NULL3_MINIMAL = (
+    '{"arrows": [{"cod": 0, "dom": 0, "map": [0, 0, 0, 0]}, '
+    '{"cod": 0, "dom": 0, "map": [0, 0, 0, 1]}, '
+    '{"cod": 0, "dom": 0, "map": [0, 0, 0, 2]}], '
+    '"degrees": [4], "graph": {"arcs": [[0, 0]], "m": 1}, '
+    '"images": [0, 1, 2]}\n'
+)
+
+
+def test_represent_minimal_golden_output(tmp_path, capsys):
+    path = _write(tmp_path / "null3.json", {"n": 3, "entries": [[0] * 3] * 3})
+    assert run(["represent", path, "--minimal"]) == 0
+    assert capsys.readouterr().out == NULL3_MINIMAL
+
+
+def test_represent_strict_and_permissive_exclude_each_other(tmp_path, capsys):
+    table = _write(tmp_path / "z.json", {"n": 1, "entries": [[0]]})
+    graph = _write(tmp_path / "loop.json", {"m": 1, "arcs": [[0, 0]]})
+    argv = ["represent", table, "--graph", graph, "--degrees", "1"]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv + ["--strict", "--permissive"])
+    assert excinfo.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert run(argv + ["--permissive"]) == 0
+
+
 def test_represent_explicit_target(tmp_path, six_arrow, capsys):
     table = _write(tmp_path / "six.json", six_arrow.to_json())
     graph = _write(

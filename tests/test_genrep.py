@@ -14,6 +14,7 @@ from sgpoidkit import (
     derive_table,
     embed,
     find_morphisms,
+    full_transformation_arrows,
     full_transformation_sgpoid,
     generate,
     is_associative,
@@ -21,6 +22,7 @@ from sgpoidkit import (
     minimal_representation,
     validate_arrow,
 )
+from sgpoidkit.genrep import _all_closed_graphs, _degree_vectors
 
 from .oracles import closure_by_pairs
 
@@ -28,6 +30,7 @@ FULL_2 = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
 ONE_WAY = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 1)}))
 ISOLATED = ArrowTypeGraph(2, frozenset({(0, 0), (1, 1)}))
 LOOP = ArrowTypeGraph(1, frozenset({(0, 0)}))
+SINK = ArrowTypeGraph(2, frozenset({(0, 1)}))
 
 
 def test_compose_arrows_transfers_the_swap(vessels):
@@ -135,6 +138,43 @@ def test_full_sgpoid_arrow_counts():
     assert all(a.dom == a.cod for a in isolated.arrows)
     mixed = full_transformation_sgpoid((1, 3), ONE_WAY)
     assert len(mixed.arrows) == 1 + 3 + 27
+
+
+def _composed_row(arrows, index, a):
+    row = []
+    for b in arrows:
+        composite = compose_arrows(a, b)
+        row.append(NC if composite is NC else index[composite])
+    return tuple(row)
+
+
+def test_full_table_matches_derive_table_on_all_small_targets():
+    # Every closed graph on up to 3 objects, every degree vector up to 5
+    # states in total; T_5 (3125 arrows) is checked on every 31st row.
+    for m in (1, 2, 3):
+        for graph in _all_closed_graphs(m):
+            for total in range(m, 6):
+                for degrees in _degree_vectors(total, m):
+                    target = full_transformation_sgpoid(degrees, graph)
+                    arrows = target.arrows
+                    if len(arrows) < 1000:
+                        assert target.table == derive_table(arrows)
+                        continue
+                    index = {arrow: i for i, arrow in enumerate(arrows)}
+                    for i in range(0, len(arrows), 31):
+                        expected = _composed_row(arrows, index, arrows[i])
+                        assert target.table.entries[i] == expected
+
+
+@pytest.mark.parametrize(
+    "degrees, graph",
+    [((4,), LOOP), ((1, 3), ONE_WAY), ((2, 2), ONE_WAY), ((2, 3), SINK)],
+)
+def test_full_table_matches_derive_table(degrees, graph):
+    # SINK: object 1 has no outgoing arc, so its arrows' rows are all NC.
+    target = full_transformation_sgpoid(degrees, graph)
+    assert target.table == derive_table(target.arrows)
+    assert target.arrows == full_transformation_arrows(degrees, graph)
 
 
 def test_full_sgpoid_rejects_bad_inputs():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,3 +184,40 @@ def test_table_validation():
         CompositionTable(((0, 1),))
     with pytest.raises(DomainError):
         CompositionTable(((5,),))
+
+
+# Sizes on either side of the whole-table check, which starts at 6 arrows.
+@pytest.mark.parametrize("n", (3, 8))
+@pytest.mark.parametrize("bad", (True, -1, "n", 1.0))
+def test_table_validation_rejects_bad_entries(n, bad):
+    bad = n if bad == "n" else bad
+    rows = [[1] * n for _ in range(n)]
+    rows[n - 1][n - 2] = NC
+    rows[n - 1][n - 1] = bad
+    with pytest.raises(DomainError, match=re.escape(f"entry {bad!r} is not")):
+        CompositionTable(rows)
+
+
+@pytest.mark.parametrize("n", (3, 8))
+def test_table_validation_reports_the_first_fault(n):
+    rows = [[0] * n for _ in range(n)]
+    rows[0][1] = 1.5
+    rows[1] = rows[1][:-1]
+    with pytest.raises(DomainError, match="entry 1.5 is not"):
+        CompositionTable(rows)
+    rows[0][1] = 0
+    rows[2][0] = 1.5
+    with pytest.raises(DomainError, match="must be square"):
+        CompositionTable(rows)
+
+
+@pytest.mark.parametrize("n", (3, 8))
+def test_table_validation_accepts_int_subclasses_and_nc(n):
+    class Index(int):
+        pass
+
+    rows = [[NC] * n for _ in range(n)]
+    rows[0][0] = Index(n - 1)
+    table = CompositionTable(rows)
+    assert table.entries[0][0] == n - 1
+    assert CompositionTable([[NC] * n for _ in range(n)]).n == n
