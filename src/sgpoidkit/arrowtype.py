@@ -5,9 +5,10 @@ digraph that is transitively closed, has at most one arc per ordered pair
 and no isolated object.  This module enumerates the isomorphism classes of
 such graphs by three independent methods (combinatorial brute force,
 single-arc extension, single-arc extension followed by transitive closure)
-and keeps class representatives in a database keyed by cheap isomorphism
-invariants, with an isomorphism search as the final arbiter inside a
-bucket.
+and keeps class representatives in a database keyed by canonical form:
+the lexicographically least relabeling, found by a search that branches
+only on tied arcs and skips branches an automorphism maps onto explored
+ones.
 
 Node sets are always derived from the arcs themselves, never from
 positions, so an "isolated node" simply cannot be expressed; this avoids
@@ -31,8 +32,8 @@ from .search import Problem, solve_all
 from .tables import NC, CompositionTable
 from .typestructure import TypeStructure
 
-# Cost guards: arc-set candidates scanned by brute force, relabelings tried
-# when canonicalizing, transformation degree for functional digraphs.
+# Cost guards: arc-set candidates scanned by brute force, search steps when
+# canonicalizing, transformation degree for functional digraphs.
 BRUTE_FORCE_LIMIT = 10**8
 CANONICAL_LIMIT = 10**7
 FUNCTIONAL_DEGREE_LIMIT = 5
@@ -87,6 +88,8 @@ class ArrowTypeGraph:
 def _arcset(graph) -> frozenset:
     if isinstance(graph, ArrowTypeGraph):
         return graph.arcs
+    if isinstance(graph, frozenset):
+        return graph
     return frozenset(tuple(arc) for arc in graph)
 
 
@@ -223,83 +226,181 @@ def digraph_isomorphisms(G, H) -> Iterator[dict]:
         yield {v: solution[v] for v in g_nodes}
 
 
+def _twin_classes(edges: list, m: int) -> list:
+    """Least member of each object's twin class.  Objects u and v are twins
+    when swapping them maps the arcs onto themselves; twinship is an
+    equivalence (conjugating one twin swap by another gives a third), so
+    comparing with each class's least member is enough."""
+    out = [0] * m
+    into = [0] * m
+    for u, v in edges:
+        out[u] |= 1 << v
+        into[v] |= 1 << u
+    least = list(range(m))
+    for v in range(m):
+        for u in range(v):
+            if least[u] != u:
+                continue
+            rest = ~((1 << u) | (1 << v))
+            if (
+                out[u] & rest == out[v] & rest
+                and into[u] & rest == into[v] & rest
+                and (out[u] >> u & 1) == (out[v] >> v & 1)
+                and (out[u] >> v & 1) == (out[v] >> u & 1)
+            ):
+                least[v] = u
+                break
+    return least
+
+
 def canonical_form(G) -> ArrowTypeGraph:
     """Lexicographically least compact relabeling; equal exactly for
     isomorphic inputs.
 
-    In a lexicographically minimal labeling the nodes are numbered
+    In a lexicographically minimal labeling the objects are numbered
     0, 1, 2, ... in order of first appearance in the sorted arc list
     (otherwise swapping the offending pair of labels would shrink the
     list).  The search therefore builds the output one arc at a time,
-    handing fresh indices to endpoints as they first occur, branching only
-    on tied candidate arcs and pruning against the best complete output
-    found so far.  This avoids scanning all m! relabelings without giving
-    up exact minimality.
+    handing the next free labels to endpoints as they first occur.  With
+    fresh endpoints read as the next free labels, every remaining arc's
+    image is a lower bound of its final image, and the arc that comes next
+    attains its bound; so the next output arc is the least bound, and only
+    the arcs tied for it are branched on.  A branch whose output prefix
+    exceeds the best complete output is cut, comparing one element per
+    level.
+
+    Tied arcs that an automorphism fixing the labeled objects maps onto an
+    arc already branched on lead to the same outputs and are skipped
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).  Two kinds
+    of automorphism are used: permutations of unlabeled twin objects
+    (objects whose swap preserves the arcs), and the automorphisms found
+    when a complete labeling repeats the best output.  Such a repeat also
+    shows that the current branch mirrors the explored branch where the two
+    paths part, so the search returns straight to that level.
     """
-    arcs = tuple(_arcset(G))
+    arcs = _arcset(G)
     if not arcs:
         return ArrowTypeGraph(0, frozenset())
-    m = len(_nodes(arcs))
-    best: list = [None]
-    steps = [0]
+    index = {x: i for i, x in enumerate(_nodes(arcs))}
+    m = len(index)
+    edges = [(index[d], index[c]) for d, c in arcs]
+    n = len(edges)
+    limit = CANONICAL_LIMIT
+    label = [-1] * m
+    order: list = []  # objects in labeling order
+    path: list = [None] * n  # arc chosen at each level
+    out = [0] * n  # image a * m + b of the chosen arc at each level
+    best: list = []  # output, labels and path of the least complete output
+    automorphisms: list = []
+    twins: list = []
+    steps = 0
+    resume = n + 1  # returned when no level is to be jumped back to
 
-    def image(arc, assigned, next_free):
+    def twin_key(arc) -> tuple:
+        # Equal for two arcs exactly when permuting unlabeled twins maps one
+        # onto the other.
         u, v = arc
-        if u in assigned:
-            if v in assigned:
-                return (assigned[u], assigned[v])
-            return (assigned[u], next_free)
-        if v in assigned:
-            return (next_free, assigned[v])
-        if u == v:
-            return (next_free, next_free)
-        return (next_free, next_free + 1)
-
-    def extend(remaining, assigned, next_free, out):
-        steps[0] += 1
-        if steps[0] > CANONICAL_LIMIT:
-            raise ResourceLimitError(
-                f"canonical form search exceeded {CANONICAL_LIMIT} steps"
-            )
-        if not remaining:
-            candidate = tuple(out)
-            if best[0] is None or candidate < best[0]:
-                best[0] = candidate
-            return
-        floor = out[-1] if out else (-1, -1)
-        candidates = sorted(
-            (image(arc, assigned, next_free), arc)
-            for arc in remaining
+        return (
+            u if label[u] >= 0 else m + twins[u],
+            v if label[v] >= 0 else m + twins[v],
+            u == v,
         )
-        for img, arc in candidates:
-            # Images only grow as labels get used up, so an arc that cannot
-            # extend the sorted output now may still do so in a subtree.
-            if img <= floor:
-                continue
-            out.append(img)
-            if best[0] is not None and tuple(out) > best[0][: len(out)]:
-                out.pop()
-                break
-            added = []
-            u, v = arc
-            free = next_free
-            for node in (u, v):
-                if node not in assigned:
-                    assigned[node] = free
-                    added.append(node)
-                    free += 1
-            extend([a for a in remaining if a != arc], assigned, free, out)
-            for node in added:
-                del assigned[node]
-            out.pop()
 
-    extend(list(arcs), {}, 0, [])
-    return ArrowTypeGraph(m, frozenset(best[0]))
+    def skippable(arc, explored) -> bool:
+        # True when an automorphism fixing the labeled objects maps arc onto
+        # an explored one.
+        if not twins:
+            twins.extend(_twin_classes(edges, m))
+        key = twin_key(arc)
+        if any(twin_key(e) == key for e in explored):
+            return True
+        fixing = [g for g in automorphisms if all(g[x] == x for x in order)]
+        if not fixing:
+            return False
+        orbit = set(explored)
+        todo = list(explored)
+        while todo:
+            u, v = todo.pop()
+            for g in fixing:
+                image = (g[u], g[v])
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        return arc in orbit
+
+    def extend(depth: int, remaining: list, equal: bool) -> int:
+        # equal: the output so far equals the best output's prefix.  Returns
+        # the level to resume at (resume for the caller's own loop).
+        nonlocal steps
+        steps += 1
+        if steps > limit:
+            raise ResourceLimitError(
+                f"canonical form search exceeded {limit} steps"
+            )
+        if depth == n:
+            if not equal:
+                best[:] = [out[:], label[:], path[:]]
+                return resume
+            inverse = [0] * m
+            for x, i in enumerate(best[1]):
+                inverse[i] = x
+            automorphisms.append([inverse[i] for i in label])
+            level = 0
+            while path[level] == best[2][level]:
+                level += 1
+            return level
+        free = len(order)
+        low = -1
+        tied: list = []
+        for arc in remaining:
+            u, v = arc
+            a = label[u]
+            b = label[v]
+            if a < 0:
+                a = free
+                if b < 0:
+                    b = free if u == v else free + 1
+            elif b < 0:
+                b = free
+            code = a * m + b
+            if code < low or low < 0:
+                low = code
+                tied = [arc]
+            elif code == low:
+                tied.append(arc)
+        if equal:
+            target = best[0][depth]
+            if low > target:
+                return resume
+            equal = low == target
+        out[depth] = low
+        explored: list = []
+        for arc in tied:
+            if explored and skippable(arc, explored):
+                continue
+            explored.append(arc)
+            path[depth] = arc
+            for x in arc:
+                if label[x] < 0:
+                    label[x] = len(order)
+                    order.append(x)
+            back = extend(depth + 1, [e for e in remaining if e is not arc], equal)
+            while len(order) > free:
+                label[order.pop()] = -1
+            if back < depth:
+                return back
+            # The branch just explored leaves the best output with this prefix.
+            equal = True
+        return resume
+
+    extend(0, edges, False)
+    return ArrowTypeGraph(m, frozenset(divmod(code, m) for code in best[0]))
 
 
 class GraphSignature(NamedTuple):
-    """Isomorphism invariant used as a database key: cheap to compute,
-    coarse enough to need an isomorphism check inside a bucket."""
+    """Isomorphism invariant: cheap to compute, but coarse, since
+    non-isomorphic graphs can share it.  :class:`ClassDatabase` keys on
+    :func:`canonical_form` instead."""
 
     node_count: int
     arc_count: int
@@ -342,10 +443,11 @@ def signature(G) -> GraphSignature:
 class ClassDatabase:
     """Store of pairwise non-isomorphic graph representatives.
 
-    Nested index: node count -> arc count -> signature -> canonical
-    representatives.  Insertion computes the signature, then runs an
-    isomorphism search against the bucket's representatives; a canonical
-    form is only computed for genuinely new classes.
+    Index: (node count, arc count) -> sorted arcs of a canonical form ->
+    that canonical form.  Isomorphic graphs have equal canonical forms and
+    non-isomorphic ones different forms, so inserting a graph is one
+    :func:`canonical_form` call and a dict lookup, and the stored
+    representatives are the canonical forms themselves.
     """
 
     def __init__(self) -> None:
@@ -354,34 +456,27 @@ class ClassDatabase:
         self.complete_arrows: int = -1
 
     def insert(self, graph) -> bool:
-        """Record the class of ``graph``; True when it was new."""
-        if not isinstance(graph, ArrowTypeGraph):
-            graph = ArrowTypeGraph.from_arcs(_arcset(graph))
-        key = (graph.m, len(graph.arcs))
-        sig = signature(graph)
-        bucket = self._buckets.setdefault(key, {})
-        reps = bucket.setdefault(sig, [])
-        for rep in reps:
-            if next(digraph_isomorphisms(graph, rep), None) is not None:
-                return False
-        reps.append(canonical_form(graph))
+        """Record the class of ``graph`` (an :class:`ArrowTypeGraph` or an
+        arc set); True when it was new."""
+        rep = canonical_form(graph)
+        key = rep.sorted_arcs
+        bucket = self._buckets.setdefault((rep.m, len(key)), {})
+        if key in bucket:
+            return False
+        bucket[key] = rep
         return True
 
     def count(self, n_arcs: int, m: int) -> int:
-        bucket = self._buckets.get((m, n_arcs), {})
-        return sum(len(reps) for reps in bucket.values())
+        return len(self._buckets.get((m, n_arcs), ()))
 
     def total(self) -> int:
-        return sum(
-            len(reps)
-            for bucket in self._buckets.values()
-            for reps in bucket.values()
-        )
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def classes(
         self, n_arcs: Optional[int] = None, m: Optional[int] = None
     ) -> List[ArrowTypeGraph]:
-        """Stored representatives, deterministically ordered."""
+        """Stored representatives, ordered by node count, arc count and
+        sorted arcs."""
         found = []
         for (bm, bn) in sorted(self._buckets):
             if n_arcs is not None and bn != n_arcs:
@@ -389,8 +484,7 @@ class ClassDatabase:
             if m is not None and bm != m:
                 continue
             bucket = self._buckets[(bm, bn)]
-            reps = [rep for s in sorted(bucket) for rep in bucket[s]]
-            found.extend(sorted(reps, key=lambda g: g.sorted_arcs))
+            found.extend(bucket[key] for key in sorted(bucket))
         return found
 
     def arc_range(self) -> tuple:
@@ -405,13 +499,10 @@ class ClassDatabase:
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         for (m, n), bucket in sorted(self._buckets.items()):
-            reps = [rep for s in sorted(bucket) for rep in bucket[s]]
             payload = {
                 "node_count": m,
                 "arc_count": n,
-                "classes": sorted(
-                    [list(arc) for arc in rep.sorted_arcs] for rep in reps
-                ),
+                "classes": [[list(arc) for arc in key] for key in sorted(bucket)],
             }
             name = f"nodes{m:02d}_arcs{n:03d}.json"
             (directory / name).write_text(
@@ -424,15 +515,16 @@ class ClassDatabase:
 
     @classmethod
     def load(cls, path) -> "ClassDatabase":
+        """Read a directory written by :meth:`save`.  Each class goes through
+        :meth:`insert`, so an edited file whose arcs are not in canonical
+        form cannot count one class twice."""
         directory = Path(path)
         database = cls()
         for bucket_file in sorted(directory.glob("nodes*_arcs*.json")):
             payload = json.loads(bucket_file.read_text())
             for arcs in payload["classes"]:
                 if arcs:
-                    database.insert(
-                        ArrowTypeGraph.from_arcs(tuple(map(tuple, arcs)))
-                    )
+                    database.insert(ArrowTypeGraph.from_arcs(tuple(map(tuple, arcs))))
                 else:
                     database.insert(ArrowTypeGraph(0, frozenset()))
         meta_file = directory / "meta.json"
@@ -480,8 +572,8 @@ def enumerate_brute_force(n_arrows: int, m_objects: int) -> List[ArrowTypeGraph]
         if remaining == 0:
             if covered == full:
                 arcs = frozenset(chosen)
-                if _brute_is_closed(arcs):
-                    database.insert(ArrowTypeGraph(m, arcs))
+                if is_transitively_closed(arcs):
+                    database.insert(arcs)
             return
         for i in range(start, n_slots):
             if n_slots - i < remaining:
@@ -499,17 +591,6 @@ def enumerate_brute_force(n_arrows: int, m_objects: int) -> List[ArrowTypeGraph]
 
 def _popcount(x: int) -> int:
     return bin(x).count("1")
-
-
-def _brute_is_closed(arcs: frozenset) -> bool:
-    out: dict = {}
-    for d, c in arcs:
-        out.setdefault(d, []).append(c)
-    for d, c in arcs:
-        for z in out.get(c, ()):
-            if (d, z) not in arcs:
-                return False
-    return True
 
 
 def enumerate_incremental(database: ClassDatabase, target_arrows: int) -> ClassDatabase:
@@ -539,19 +620,31 @@ def enumerate_incremental(database: ClassDatabase, target_arrows: int) -> ClassD
     return database
 
 
-def _extension_candidates(graph: ArrowTypeGraph, max_objects: int) -> Iterator[set]:
+def _closed_extensions(graph: ArrowTypeGraph, max_objects: int) -> Iterator[tuple]:
+    """(arc, closure) for each arc that can be added to the closed ``graph``
+    within max_objects objects: between its objects in row-major order,
+    then (i, m) and (m, i) for each object i and the loop (m, m) on a fresh
+    object m, then the detached arc (m, m + 1).
+
+    Since ``graph`` is closed, every new two-step path runs through the new
+    arc (d, c), so the closure is the arcs plus ({d} | In(d)) x ({c} |
+    Out(c)), taken in one pass.
+    """
     arcs, m = graph.arcs, graph.m
-    for d in range(m):
-        for c in range(m):
-            if (d, c) not in arcs:
-                yield arcs | {(d, c)}
+    sources = [[x] for x in range(m + 2)]
+    targets = [[x] for x in range(m + 2)]
+    for d, c in arcs:
+        sources[c].append(d)
+        targets[d].append(c)
+    candidates = [(d, c) for d in range(m) for c in range(m) if (d, c) not in arcs]
     if m + 1 <= max_objects:
         for i in range(m):
-            yield arcs | {(i, m)}
-            yield arcs | {(m, i)}
-        yield arcs | {(m, m)}
+            candidates += [(i, m), (m, i)]
+        candidates.append((m, m))
     if m + 2 <= max_objects:
-        yield arcs | {(m, m + 1)}
+        candidates.append((m, m + 1))
+    for d, c in candidates:
+        yield (d, c), arcs.union([(w, z) for w in sources[d] for z in targets[c]])
 
 
 def enumerate_by_closure(
@@ -575,15 +668,9 @@ def enumerate_by_closure(
         graph = frontier.popleft()
         if len(graph.arcs) >= max_arrows:
             continue
-        for candidate in _extension_candidates(graph, max_objects):
-            closed = _closure_arcs(candidate)
-            if len(closed) > max_arrows:
-                continue
-            extended = ArrowTypeGraph.from_arcs(closed)
-            if extended.m > max_objects:
-                continue
-            if database.insert(extended):
-                frontier.append(extended)
+        for (d, c), closed in _closed_extensions(graph, max_objects):
+            if len(closed) <= max_arrows and database.insert(closed):
+                frontier.append(ArrowTypeGraph(max(graph.m, d + 1, c + 1), closed))
     database.complete_arrows = max(database.complete_arrows, max_arrows)
     return database
 

@@ -11,10 +11,10 @@ Exit codes: 0 success, 1 a query found no solutions, 2 input errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -199,7 +199,6 @@ def _cmd_arrowtypes(opts: dict) -> int:
     max_arrows = opts["max_arrows"]
     max_objects = opts.get("max_objects") or 2 * max_arrows
     db_dir = opts.get("db") or os.environ.get("SGPOIDKIT_DB")
-    jobs = max(1, opts.get("jobs") or 1)
     if db_dir and os.path.isdir(db_dir) and os.listdir(db_dir):
         database = ClassDatabase.load(db_dir)
     else:
@@ -218,16 +217,8 @@ def _cmd_arrowtypes(opts: dict) -> int:
             for n in range(1, max_arrows + 1)
             for m in range(1, min(2 * n, max_objects) + 1)
         ]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(lambda cell: enumerate_brute_force(*cell), cells)
-                )
-        else:
-            results = [enumerate_brute_force(n, m) for n, m in cells]
-        # Merge in submission order so the database is deterministic.
-        for classes in results:
-            for graph in classes:
+        for n, m in cells:
+            for graph in enumerate_brute_force(n, m):
                 database.insert(graph)
         database.complete_arrows = max(database.complete_arrows, max_arrows)
     if db_dir:
@@ -338,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--db")
     p.add_argument("--emit-table", choices=("md", "csv", "json"), default="md")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("generate", help="close typed generators under composition")
     p.add_argument("generators")
@@ -355,8 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs about fifty times a parse, and parsing
+    # leaves it unchanged, so one instance serves every run in a process.
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     options = vars(args)
     config = RunConfig(options.pop("command"), options)
     try:

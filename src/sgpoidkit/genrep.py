@@ -17,14 +17,22 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arrowtype import (
     ArrowTypeGraph,
+    ClassDatabase,
     arrow_type_of,
     canonical_form,
+    enumerate_by_closure,
     is_transitively_closed,
 )
 from .errors import DomainError, ResourceLimitError
 from .morphisms import ArrowMap, find_injective_morphisms
 from .tables import NC, CompositionTable, is_associative, _NotComposable
 from .typestructure import infer_types, minimal_objects
+
+# Cost guards: composition-table cells of a full transformation target (T_5,
+# 3125 arrows, has 9.8 M; T_6 would have 2.2 G), and objects of the closed
+# graphs tried by a widened representation search.
+FULL_TABLE_CELL_LIMIT = 10**7
+CLOSED_GRAPH_OBJECT_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,7 @@ def full_transformation_arrows(
     degrees: Sequence[int], graph: ArrowTypeGraph
 ) -> tuple:
     """The arrows of :func:`full_transformation_sgpoid`, in the same order,
-    without building the composition table."""
+    without building the composition table; refused in the same cases."""
     degrees = tuple(degrees)
     if any(d < 1 for d in degrees):
         raise DomainError("every type needs at least one state")
@@ -163,6 +171,12 @@ def full_transformation_arrows(
         raise DomainError("degree list length does not match the object count")
     if not is_transitively_closed(graph):
         raise DomainError("graph must be transitively closed")
+    n = sum(degrees[c] ** degrees[d] for d, c in graph.arcs)
+    if n * n > FULL_TABLE_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"full transformation target has {n} arrows, {n * n} table cells "
+            f"(limit {FULL_TABLE_CELL_LIMIT} cells)"
+        )
     return tuple(
         TransformationArrow(d, c, mapping)
         for d, c in graph.sorted_arcs
@@ -229,7 +243,9 @@ def full_transformation_sgpoid(
     f) then (c, e, g) is (d, e, g∘f), whose index is ``offset[(d, e)] +
     sum_y g[y] * W_y`` with ``W_y = sum_{x: f[x]=y} deg[e]**(deg[d]-1-x)``.
     Pairs whose types do not meet are NC.  :func:`derive_table` on the same
-    arrows gives the same table, one composite at a time.
+    arrows gives the same table, one composite at a time.  Targets whose
+    table would exceed FULL_TABLE_CELL_LIMIT cells are refused before
+    anything is built.
     """
     arrows = full_transformation_arrows(degrees, graph)
     degrees = tuple(degrees)
@@ -261,22 +277,14 @@ def _degree_vectors(total: int, parts: int) -> Iterator[tuple]:
 
 
 def _all_closed_graphs(m: int) -> list:
-    if m > 4:
+    # Canonical closed graphs on exactly m objects, in sorted-arc order.
+    if m > CLOSED_GRAPH_OBJECT_LIMIT:
         raise ResourceLimitError(
-            "widened target search scans all arc subsets; limited to 4 objects"
+            "widened target search takes the census of all closed graphs; "
+            f"limited to {CLOSED_GRAPH_OBJECT_LIMIT} objects"
         )
-    slots = [(d, c) for d in range(m) for c in range(m)]
-    seen = {}
-    for size in range(len(slots) + 1):
-        for subset in itertools.combinations(slots, size):
-            arcs = frozenset(subset)
-            if {x for arc in arcs for x in arc} != set(range(m)):
-                continue
-            if not is_transitively_closed(arcs):
-                continue
-            rep = canonical_form(ArrowTypeGraph(m, arcs))
-            seen[rep.sorted_arcs] = rep
-    return [seen[key] for key in sorted(seen)]
+    database = enumerate_by_closure(ClassDatabase(), m * m, m)
+    return sorted(database.classes(m=m), key=lambda g: g.sorted_arcs)
 
 
 def _candidate_graphs(table: CompositionTable, m: int, widen: bool) -> list:

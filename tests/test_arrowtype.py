@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from sgpoidkit import (
     transitive_closure,
     type_quotient_map,
 )
-from sgpoidkit.arrowtype import seed
+from sgpoidkit.arrowtype import _closed_extensions, _closure_arcs, seed
 
 from .oracles import (
     arcs_transitively_closed,
@@ -71,8 +72,6 @@ def test_transitive_closure_is_idempotent_and_extensive(arcs):
 @given(arc_sets, arc_sets)
 def test_transitive_closure_is_monotone(small, extra):
     # Compare on raw label sets to avoid compaction mismatches.
-    from sgpoidkit.arrowtype import _closure_arcs
-
     assert _closure_arcs(small) <= _closure_arcs(small | extra)
 
 
@@ -155,6 +154,89 @@ def _all_compact_arc_sets(max_arcs, max_nodes):
 def test_canonical_form_matches_full_permutation_oracle():
     for arcs in _all_compact_arc_sets(3, 3):
         assert canonical_form(arcs).sorted_arcs == digraph_canonical(arcs)
+
+
+def test_canonical_form_matches_oracle_on_labeled_closed_graphs():
+    # Every labeled closed graph on up to 3 objects.
+    checked = 0
+    for m in (1, 2, 3):
+        slots = [(d, c) for d in range(m) for c in range(m)]
+        for size in range(1, len(slots) + 1):
+            for subset in itertools.combinations(slots, size):
+                arcs = frozenset(subset)
+                if {x for a in arcs for x in a} != set(range(m)):
+                    continue
+                if arcs_transitively_closed(arcs):
+                    assert canonical_form(arcs).sorted_arcs == digraph_canonical(arcs)
+                    checked += 1
+    # Labeled transitive relations (OEIS A006905: 1, 2, 13, 171) with no
+    # isolated point, by inclusion-exclusion: 1, 13 - 4 + 1, 171 - 39 + 6 - 1.
+    assert checked == 1 + 10 + 137
+
+
+def test_canonical_form_matches_oracle_on_relabeled_census_classes():
+    database = ClassDatabase()
+    enumerate_by_closure(database, 6, 6)
+    rng = random.Random(2)
+    classes = database.classes()
+    for graph in classes[1:]:
+        labels = list(range(10, 10 + graph.m))
+        rng.shuffle(labels)
+        relabeled = {(labels[d], labels[c]) for d, c in graph.arcs}
+        expected = digraph_canonical(graph.arcs)
+        assert graph.sorted_arcs == expected
+        assert canonical_form(relabeled).sorted_arcs == expected
+
+
+def _scrambled(arcs, seed):
+    nodes = sorted({x for a in arcs for x in a})
+    labels = list(range(len(nodes)))
+    random.Random(seed).shuffle(labels)
+    relabel = dict(zip(nodes, labels))
+    return {(relabel[d], relabel[c]) for d, c in arcs}
+
+
+STAR6_PLUS_ARC = tuple((0, i) for i in range(1, 7)) + ((7, 8),)
+
+
+@pytest.mark.parametrize(
+    "canonical",
+    [
+        tuple((i, i) for i in range(10)),  # 10 loops
+        tuple((0, i) for i in range(1, 10)),  # star with 9 leaves
+        tuple((d, c) for d in range(7) for c in range(7)),  # K7 with loops
+        tuple((2 * i, 2 * i + 1) for i in range(7)),  # 7 disjoint arcs
+        STAR6_PLUS_ARC,
+    ],
+    ids=["10-loops", "9-leaf-star", "K7", "7-disjoint-arcs", "star6-plus-arc"],
+)
+def test_canonical_form_symmetric_worst_cases(canonical, monkeypatch):
+    # Each was factorial for a search without automorphism pruning (10
+    # loops took about 30 s); now each needs well under a thousand steps.
+    import sgpoidkit.arrowtype as arrowtype
+
+    monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", 1000)
+    for seed in range(3):
+        assert canonical_form(_scrambled(canonical, seed)).sorted_arcs == canonical
+
+
+def test_canonical_form_step_guard(monkeypatch):
+    import sgpoidkit.arrowtype as arrowtype
+
+    monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", 3)
+    with pytest.raises(ResourceLimitError):
+        canonical_form(STAR6_PLUS_ARC)
+
+
+def test_one_pass_closure_matches_breadth_first_closure():
+    database = ClassDatabase()
+    enumerate_by_closure(database, 5)
+    checked = 0
+    for graph in database.classes():
+        for arc, closed in _closed_extensions(graph, graph.m + 2):
+            assert closed == _closure_arcs(graph.arcs | {arc}), (graph, arc)
+            checked += 1
+    assert checked > 10000
 
 
 def test_canonical_form_agrees_with_isomorphism_search():
@@ -324,6 +406,20 @@ def test_database_save_load_round_trip(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for a, b in zip(first, second):
         assert a.read_text() == b.read_text()
+
+
+def test_database_load_recanonicalizes_edited_classes(tmp_path):
+    database = ClassDatabase()
+    enumerate_by_closure(database, 3)
+    database.save(tmp_path / "db")
+    bucket_file = tmp_path / "db" / "nodes02_arcs002.json"
+    payload = json.loads(bucket_file.read_text())
+    assert payload["classes"][0] == [[0, 0], [0, 1]]
+    payload["classes"][0] = [[1, 0], [1, 1]]  # the same class, relabeled
+    bucket_file.write_text(json.dumps(payload))
+    loaded = ClassDatabase.load(tmp_path / "db")
+    enumerate_by_closure(loaded, 3)
+    assert count_table(loaded, 3, 6) == count_table(database, 3, 6)
 
 
 def test_functional_digraph_counts():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -122,17 +124,28 @@ def test_arrowtypes_methods_agree(capsys):
     assert outputs[0]["row_sums"] == [2, 7, 21]
 
 
-def test_arrowtypes_jobs_output_identical(capsys):
-    assert run(
-        ["arrowtypes", "--max-arrows", "3", "--method", "brute",
-         "--emit-table", "csv"]
-    ) == 0
-    sequential = capsys.readouterr().out
-    assert run(
-        ["arrowtypes", "--max-arrows", "3", "--method", "brute",
-         "--emit-table", "csv", "--jobs", "3"]
-    ) == 0
-    assert capsys.readouterr().out == sequential
+# SHA-256 of the files saved by `arrowtypes --max-arrows 6 --db D` (per file
+# in name order: name, NUL, contents, NUL) and of its stdout, recorded
+# before the database was keyed by canonical form.
+CENSUS6_DB_SHA256 = "c403311c8742a44b596ff0870c27b3b226e798b850a5206a32c2ab78fdf25d47"
+CENSUS6_STDOUT_SHA256 = "a10c3050c62d294dcb626b34f6e14c81f14a99b72398f6a183d3655246ecf566"
+
+
+def _tree_sha256(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def test_arrowtypes_saved_database_is_byte_stable(tmp_path, capsys):
+    db_dir = tmp_path / "db"
+    for _ in range(2):  # build, then rerun on the populated database
+        assert run(["arrowtypes", "--max-arrows", "6", "--db", str(db_dir)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS6_STDOUT_SHA256
+        assert len(list(db_dir.iterdir())) == 37
+        assert _tree_sha256(db_dir) == CENSUS6_DB_SHA256
 
 
 def test_arrowtypes_db_persistence(tmp_path, capsys):
@@ -199,6 +212,17 @@ def test_represent_strict_and_permissive_exclude_each_other(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "not allowed with" in capsys.readouterr().err
     assert run(argv + ["--permissive"]) == 0
+
+
+def test_represent_oversized_target_exits_three(tmp_path, capsys):
+    # T_6 has 46656 arrows and a 2.2 G-cell table; it is refused unbuilt.
+    table = _write(tmp_path / "z.json", {"n": 1, "entries": [[0]]})
+    graph = _write(tmp_path / "loop.json", {"m": 1, "arcs": [[0, 0]]})
+    start = time.perf_counter()
+    assert run(["represent", table, "--graph", graph, "--degrees", "6"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "46656 arrows" in err and "2176782336 table cells" in err
 
 
 def test_represent_explicit_target(tmp_path, six_arrow, capsys):
@@ -283,6 +307,38 @@ def test_resource_guard_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(arrowtype, "BRUTE_FORCE_LIMIT", 10)
     assert run(["arrowtypes", "--max-arrows", "3", "--method", "brute"]) == 3
     assert "limit" in capsys.readouterr().err
+
+
+def test_parser_reuse_keeps_outputs(ff_file, capsys):
+    # One parser serves every run: usage errors, --version and flag
+    # conflicts read the same on each run, and earlier runs leave no state.
+    def usage_error(argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        captured = capsys.readouterr()
+        return excinfo.value.code, captured.out, captured.err
+
+    first = [
+        usage_error(["check"]),
+        usage_error(["arrowtypes", "--max-arrows", "2", "--jobs", "2"]),
+        usage_error(["--version"]),
+        usage_error(["represent", ff_file, "--strict", "--permissive"]),
+    ]
+    assert [code for code, _, _ in first] == [2, 2, 0, 2]
+    assert first[0][2].startswith("usage: sgpoidkit check [-h] table\n")
+    assert "unrecognized arguments: --jobs 2" in first[1][2]
+    assert first[2][1] == "sgpoidkit 0.1.0\n"
+    assert run(["infer-types", ff_file, "--count-only"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert run(["infer-types", ff_file]) == 0
+    assert capsys.readouterr().out.count("\n") == 1
+    second = [
+        usage_error(["check"]),
+        usage_error(["arrowtypes", "--max-arrows", "2", "--jobs", "2"]),
+        usage_error(["--version"]),
+        usage_error(["represent", ff_file, "--strict", "--permissive"]),
+    ]
+    assert second == first
 
 
 def test_version_flag(capsys):

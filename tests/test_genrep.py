@@ -24,7 +24,7 @@ from sgpoidkit import (
 )
 from sgpoidkit.genrep import _all_closed_graphs, _degree_vectors
 
-from .oracles import closure_by_pairs
+from .oracles import brute_force_graph_classes, closure_by_pairs
 
 FULL_2 = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
 ONE_WAY = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 1)}))
@@ -185,6 +185,27 @@ def test_full_sgpoid_rejects_bad_inputs():
     open_path = ArrowTypeGraph.from_arcs({(0, 1), (1, 2)})
     with pytest.raises(DomainError):
         full_transformation_sgpoid((2, 2, 2), open_path)
+
+
+def test_full_sgpoid_refuses_oversized_targets():
+    # T_5 (3125 arrows, 9.8 M cells) is built above; T_6 and two T_5 loops
+    # side by side are refused before any arrow is made.
+    with pytest.raises(ResourceLimitError, match="46656 arrows, 2176782336 table cells"):
+        full_transformation_sgpoid((6,), LOOP)
+    with pytest.raises(ResourceLimitError, match="6250 arrows"):
+        full_transformation_sgpoid((5, 5), ISOLATED)
+
+
+def test_all_closed_graphs_match_oracle():
+    for m in (1, 2, 3):
+        expected = sorted(
+            set().union(*(brute_force_graph_classes(n, m) for n in range(1, m * m + 1)))
+        )
+        assert [g.sorted_arcs for g in _all_closed_graphs(m)] == expected
+    # Counted by the subset scan this replaced.
+    assert len(_all_closed_graphs(4)) == 203
+    with pytest.raises(ResourceLimitError):
+        _all_closed_graphs(5)
 
 
 def test_derive_table_requires_closure():
