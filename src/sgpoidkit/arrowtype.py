@@ -328,9 +328,11 @@ def canonical_form(G) -> ArrowTypeGraph:
                     todo.append(image)
         return arc in orbit
 
-    def extend(depth: int, remaining: list, equal: bool) -> int:
-        # equal: the output so far equals the best output's prefix.  Returns
-        # the level to resume at (resume for the caller's own loop).
+    def open_level(depth: int, remaining: list, equal: bool):
+        # equal: the output so far equals the best output's prefix.  Pushes
+        # the level's frame and returns None, or returns the level to
+        # resume at when the level ends at once (resume for its parent's
+        # own loop).
         nonlocal steps
         steps += 1
         if steps > limit:
@@ -374,26 +376,41 @@ def canonical_form(G) -> ArrowTypeGraph:
                 return resume
             equal = low == target
         out[depth] = low
-        explored: list = []
-        for arc in tied:
-            if explored and skippable(arc, explored):
-                continue
-            explored.append(arc)
-            path[depth] = arc
-            for x in arc:
-                if label[x] < 0:
-                    label[x] = len(order)
-                    order.append(x)
-            back = extend(depth + 1, [e for e in remaining if e is not arc], equal)
+        # depth, remaining, tied arcs left to try, explored, free, equal
+        frames.append([depth, remaining, iter(tied), [], free, equal])
+        return None
+
+    # One frame per open level of the search, so its depth (one level per
+    # arc) is not bounded by the interpreter's recursion limit.
+    frames: list = []
+    back = open_level(0, edges, False)
+    while frames:
+        frame = frames[-1]
+        depth, remaining, tied, explored, free, equal = frame
+        if back is not None:
+            # A branch of this level has ended.
             while len(order) > free:
                 label[order.pop()] = -1
             if back < depth:
-                return back
+                frames.pop()
+                continue
             # The branch just explored leaves the best output with this prefix.
-            equal = True
-        return resume
+            frame[5] = equal = True
+        for arc in tied:
+            if not (explored and skippable(arc, explored)):
+                break
+        else:
+            frames.pop()
+            back = resume
+            continue
+        explored.append(arc)
+        path[depth] = arc
+        for x in arc:
+            if label[x] < 0:
+                label[x] = len(order)
+                order.append(x)
+        back = open_level(depth + 1, [e for e in remaining if e is not arc], equal)
 
-    extend(0, edges, False)
     return ArrowTypeGraph(m, frozenset(divmod(code, m) for code in best[0]))
 
 

@@ -6,15 +6,41 @@ inference, morphism and isomorphism enumeration) is phrased as a
 constraints that watch a subset of the variables.
 
 A constraint's ``test`` receives the current partial assignment (a mapping
-from variable to value containing only the bound variables) and must be
-*stable under extension*: once it returns False for a partial assignment it
-must return False for every extension.  Returning True means "not violated
-yet".  A predicate may only consult the variables it watches.
+from variable to value containing only the bound variables) and returns
+one of three things:
+
+* ``False``: violated.  A test must be *stable under extension*: once it
+  returns False for a partial assignment it must do so for every
+  extension.
+* ``True``: not violated yet.  The test runs again whenever another
+  variable it watches is bound.
+* a single unbound variable of the problem: the test *waits* on it.  Its
+  answer cannot change before that variable is bound, and it runs again
+  exactly then.
+
+The solver tests a constraint only when a variable it watches, or the
+variable it last waited on, is bound.  So a test may read any bound
+variable, but must not return True while its answer still depends on an
+unbound variable it does not watch: it waits on that variable instead.
+Waiting lets a test read a few variables chosen by the values of others
+(the watched-literal scheme of SAT solvers) instead of watching every
+variable it might read.  Variables are told apart from bools by type, so
+an int variable 0 or 1 is a wait, not a verdict.  Waiting on a variable
+the problem does not have, or on one already bound, raises
+:class:`ConfigurationError`.
+
+When a test set off by variable v waits on u, the solver moves the
+constraint from v's watch list to u's: it appends the constraint to u's
+list and leaves v's as it is, since v stays bound, and its list unread,
+below v's search node.  Each node records its moves on a trail and undoes
+them, newest first, before trying the next value.
 
 The solver is deterministic: variables are tried in declaration order,
 values in domain order, so solutions stream in lexicographic order with
 respect to those orders.  Forward checking prunes the domain of the single
-unbound variable of a constraint; it never changes which solutions exist.
+unbound variable a constraint watches, and the domain of the variable a
+constraint has just started waiting on; it never changes which solutions
+exist.
 """
 
 from __future__ import annotations
@@ -31,7 +57,7 @@ Assignment = dict
 @dataclass(frozen=True)
 class Constraint:
     watches: tuple
-    test: Callable[[Mapping], bool]
+    test: Callable[[Mapping], Any]
 
 
 class Problem:
@@ -53,8 +79,11 @@ class Problem:
         self.variables.append(var)
         self.domains[var] = list(domain)
 
-    def add_constraint(self, watches, test: Callable[[Mapping], bool]) -> None:
-        """Attach a predicate over partial assignments watching ``watches``."""
+    def add_constraint(self, watches, test: Callable[[Mapping], Any]) -> None:
+        """Attach a predicate over partial assignments watching ``watches``.
+
+        ``test`` returns False, True or a variable to wait on (see the
+        module docstring)."""
         seen: list = []
         for w in watches:
             if w not in seen:
@@ -70,7 +99,7 @@ class Problem:
             for w in watches:
                 if w not in bound:
                     return True
-            return func(*(bound[w] for w in watches))
+            return True if func(*(bound[w] for w in watches)) else False
 
         self.add_constraint(watches, test)
 
@@ -99,6 +128,12 @@ def _validate(problem: Problem) -> None:
                 )
 
 
+def _bad_wait(var: Any, bound: Mapping) -> ConfigurationError:
+    if var in bound:
+        return ConfigurationError(f"constraint waits on bound variable {var!r}")
+    return ConfigurationError(f"constraint waits on unknown variable {var!r}")
+
+
 def solve_all(problem: Problem, propagate: bool = True) -> Iterator[Assignment]:
     """Yield every solution exactly once, in deterministic order.
 
@@ -107,6 +142,8 @@ def solve_all(problem: Problem, propagate: bool = True) -> Iterator[Assignment]:
     """
     _validate(problem)
     order = list(problem.variables)
+    # watching[v]: constraints to test when v is bound, its static watchers
+    # first, then those waiting on v.
     watching: dict = {v: [] for v in order}
     unwatched = []
     for constraint in problem.constraints:
@@ -114,48 +151,79 @@ def solve_all(problem: Problem, propagate: bool = True) -> Iterator[Assignment]:
             unwatched.append(constraint)
         for w in constraint.watches:
             watching[w].append(constraint)
-    if any(not c.test({}) for c in unwatched):
-        return
+    for constraint in unwatched:
+        r = constraint.test({})
+        if r is False:
+            return
+        if r is not True:
+            if r not in watching:
+                raise _bad_wait(r, {})
+            watching[r].append(constraint)
     domains = {v: list(problem.domains[v]) for v in order}
     bound: dict = {}
+    last = len(order)
 
-    def probe(constraint: Constraint, var: Variable, value: Any) -> bool:
-        bound[var] = value
-        ok = constraint.test(bound)
-        del bound[var]
-        return ok
+    def trim(test, u: Variable, trimmed: list) -> bool:
+        """Drop the values of ``u`` that ``test`` rejects, logging the old
+        domain on ``trimmed``; False if that leaves none."""
+        old = domains[u]
+        if not old:
+            return True
+        new = []
+        for x in old:
+            bound[u] = x
+            if test(bound) is not False:
+                new.append(x)
+        del bound[u]
+        if len(new) == len(old):
+            return True
+        trimmed.append((u, old))
+        domains[u] = new
+        return bool(new)
 
     def extend(i: int) -> Iterator[Assignment]:
-        if i == len(order):
+        if i == last:
             yield dict(bound)
             return
         var = order[i]
+        constraints = watching[var]
         for value in domains[var]:
             bound[var] = value
             ok = True
-            for constraint in watching[var]:
-                if not constraint.test(bound):
+            waits: list = []  # the trail: (test, variable it moved to)
+            for constraint in constraints:
+                r = constraint.test(bound)
+                if r is True:
+                    continue
+                if r is False:
                     ok = False
                     break
+                target = watching.get(r)
+                if target is None or r in bound:
+                    raise _bad_wait(r, bound)
+                target.append(constraint)
+                waits.append((constraint.test, r))
             trimmed: list = []
             if ok and propagate:
-                for constraint in watching[var]:
-                    unbound = [w for w in constraint.watches if w not in bound]
-                    if len(unbound) != 1:
+                for constraint in constraints:
+                    watches = constraint.watches
+                    if len(watches) < 2:  # none unbound, or a wait that moved in
                         continue
-                    u = unbound[0]
-                    old = domains[u]
-                    new = [x for x in old if probe(constraint, u, x)]
-                    if len(new) != len(old):
-                        trimmed.append((u, old))
-                        domains[u] = new
-                        if not new:
+                    unbound = [w for w in watches if w not in bound]
+                    if len(unbound) == 1 and not trim(constraint.test, unbound[0], trimmed):
+                        ok = False
+                        break
+                if ok:
+                    for test, u in waits:
+                        if not trim(test, u, trimmed):
                             ok = False
                             break
             if ok:
                 yield from extend(i + 1)
             for u, old in reversed(trimmed):
                 domains[u] = old
+            for _, u in reversed(waits):
+                watching[u].pop()
         bound.pop(var, None)
 
     yield from extend(0)

@@ -195,16 +195,42 @@ def is_associative(table: CompositionTable) -> bool:
     return first_nonassociative_triple(table) is None
 
 
-def _triple_test(a: int, b: int, c: int):
-    def test(bound) -> bool:
-        ab = bound.get((a, b), UNSET)
-        bc = bound.get((b, c), UNSET)
-        if ab is UNSET or bc is UNSET:
-            return True
-        left = NC if ab is NC else bound.get((ab, c), UNSET)
-        right = NC if bc is NC else bound.get((a, bc), UNSET)
-        if left is UNSET or right is UNSET:
-            return True
+def _triple_test(kab: tuple, kbc: tuple, row_a: list, col_c: list):
+    """Associativity of (a, b, c), given the cells (a, b) and (b, c) and
+    the cells of row a and column c.  The test waits on (a, b), then on
+    (b, c), then on whichever of (ab, c) and (a, bc) comes first in
+    row-major order while unbound; it reads no other cell.  No cell value
+    is None, so ``get`` tells an unbound cell."""
+
+    def test(bound):
+        ab = bound.get(kab)
+        if ab is None:
+            return kab
+        bc = bound.get(kbc)
+        if bc is None:
+            return kbc
+        if ab is NC:
+            if bc is NC:
+                return True
+            kr = row_a[bc]
+            right = bound.get(kr)
+            if right is None:
+                return kr
+            return right is NC
+        kl = col_c[ab]
+        left = bound.get(kl)
+        if bc is NC:
+            if left is None:
+                return kl
+            return left is NC
+        kr = row_a[bc]
+        right = bound.get(kr)
+        if left is None:
+            if right is None and kr < kl:
+                return kr
+            return kl
+        if right is None:
+            return kr
         return left == right
 
     return test
@@ -234,19 +260,22 @@ def enumerate_associative_tables(
 
     problem = Problem()
     searched = list(range(n)) + ([NC] if allow_nc else [])
+    rows = [[(x, y) for y in range(n)] for x in range(n)]
+    cols = [[rows[x][y] for x in range(n)] for y in range(n)]
     for i in range(n):
         for j in range(n):
             fixed = grid[i][j]
             if fixed is UNSET:
-                problem.add_variable((i, j), searched)
+                problem.add_variable(rows[i][j], searched)
             else:
                 _check_entry(fixed, n)
-                problem.add_variable((i, j), [fixed])
+                problem.add_variable(rows[i][j], [fixed])
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                watches = [(a, y) for y in range(n)] + [(x, c) for x in range(n)]
-                problem.add_constraint(watches, _triple_test(a, b, c))
+                problem.add_constraint(
+                    [(a, b)], _triple_test(rows[a][b], rows[b][c], rows[a], cols[c])
+                )
 
     for solution in solve_all(problem):
         yield CompositionTable(

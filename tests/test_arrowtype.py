@@ -220,6 +220,14 @@ def test_canonical_form_symmetric_worst_cases(canonical, monkeypatch):
         assert canonical_form(_scrambled(canonical, seed)).sorted_arcs == canonical
 
 
+def test_canonical_form_depth_is_not_bounded_by_recursion():
+    # The search opens one level per arc; 1,000 loops used to raise
+    # RecursionError.
+    loops = [(x, x) for x in range(1000)]
+    random.Random(0).shuffle(loops)
+    assert canonical_form(loops).sorted_arcs == tuple((i, i) for i in range(1000))
+
+
 def test_canonical_form_step_guard(monkeypatch):
     import sgpoidkit.arrowtype as arrowtype
 

@@ -117,3 +117,132 @@ def test_matches_cartesian_filter_and_propagation_changes_nothing(data):
     )
     assert fast == expected
     assert slow == expected
+
+
+def _waiting_test(watches, func):
+    # Waits on each unbound variable of ``watches`` in turn.
+    def test(bound):
+        for w in watches:
+            if w not in bound:
+                return w
+        return func(*(bound[w] for w in watches))
+
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_waiting_constraints_match_static_watches(data):
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    domain_sizes = data.draw(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=k, max_size=k)
+    )
+    constraints = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        watches = data.draw(
+            st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True)
+        )
+        tuples = list(itertools.product(*(range(domain_sizes[w]) for w in watches)))
+        allowed = frozenset(t for t in tuples if data.draw(st.booleans()))
+        # How the waiting form is posted: no watch, or its first variable.
+        posted = data.draw(st.sampled_from(["none", "first"]))
+        constraints.append((watches, allowed, posted))
+
+    def build(waiting):
+        problem = Problem()
+        for i, size in enumerate(domain_sizes):
+            problem.add_variable(i, range(size))
+        for watches, allowed, posted in constraints:
+            def func(*values, allowed=allowed):
+                return values in allowed
+
+            if waiting:
+                test = _waiting_test(watches, func)
+                problem.add_constraint([] if posted == "none" else watches[:1], test)
+            else:
+                problem.add_relation(watches, func)
+        return problem
+
+    expected = [
+        dict(enumerate(values))
+        for values in itertools.product(*(range(s) for s in domain_sizes))
+        if all(
+            tuple(values[w] for w in watches) in allowed
+            for watches, allowed, _ in constraints
+        )
+    ]
+    for waiting in (False, True):
+        for propagate in (True, False):
+            assert list(solve_all(build(waiting), propagate)) == expected
+
+
+def test_waiting_on_an_unknown_variable_is_rejected():
+    problem = Problem()
+    problem.add_variable("a", [0, 1])
+    problem.add_constraint(["a"], lambda bound: "ghost")
+    with pytest.raises(ConfigurationError, match="unknown variable 'ghost'"):
+        list(solve_all(problem))
+
+
+def test_waiting_on_a_bound_variable_is_rejected():
+    problem = Problem()
+    problem.add_variable("a", [0, 1])
+    problem.add_variable("b", [0, 1])
+    problem.add_constraint(["b"], lambda bound: "a")
+    with pytest.raises(ConfigurationError, match="bound variable 'a'"):
+        list(solve_all(problem))
+
+
+@pytest.mark.parametrize("propagate", [True, False])
+def test_waiting_on_int_variable_zero(propagate):
+    # Variable 0 is bound after variable 1.  A test that returns 0 waits on
+    # it rather than failing, and the answer 1 is variable 1, not True.
+    problem = Problem()
+    problem.add_variable(1, [0, 1, 2])
+    problem.add_variable(0, [0, 1, 2])
+    waits = []
+
+    def test(bound):
+        if 0 not in bound:
+            waits.append(0)
+            return 0
+        return bound[0] + bound[1] == 2
+
+    problem.add_constraint([1], test)
+    assert list(solve_all(problem, propagate)) == [
+        {1: 0, 0: 2}, {1: 1, 0: 1}, {1: 2, 0: 0}
+    ]
+    assert waits
+
+    problem = Problem()
+    problem.add_variable(0, [0, 1])
+    problem.add_variable(1, [0, 1])
+    problem.add_constraint([0], lambda bound: 1 if 1 not in bound else bound[1] != bound[0])
+    assert list(solve_all(problem, propagate)) == [{0: 0, 1: 1}, {0: 1, 1: 0}]
+
+
+def test_relation_results_are_read_as_bools():
+    # A relation's predicate may return any truthy or falsy value; it is
+    # never read as a variable to wait on.
+    problem = Problem()
+    problem.add_variable(0, [0, 1, 2])
+    problem.add_relation([0], lambda v: v % 2)
+    assert list(solve_all(problem)) == [{0: 1}]
+
+
+def test_moves_are_undone_on_backtrack():
+    # The constraint is set off by x and then waits on y.  Undoing the move
+    # before the next value of x keeps it on y's watch list once, so it is
+    # tested once per binding of x and once per binding of y below it.
+    problem = Problem()
+    problem.add_variable("x", [0, 1, 2])
+    problem.add_variable("y", [0, 1])
+    calls = []
+
+    def test(bound):
+        calls.append(dict(bound))
+        return "y" if "y" not in bound else True
+
+    problem.add_constraint(["x"], test)
+    assert len(list(solve_all(problem, propagate=False))) == 6
+    assert len(calls) == 3 + 3 * 2

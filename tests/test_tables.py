@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -16,6 +17,7 @@ from sgpoidkit import (
     pairs_composing_to,
     triple_associative,
 )
+from sgpoidkit.cli import run
 
 from .conftest import from_grid, grid
 from .oracles import brute_force_tables
@@ -133,6 +135,34 @@ def test_enumeration_order_is_deterministic():
     first = list(enumerate_associative_tables(2, allow_nc=True))
     second = list(enumerate_associative_tables(2, allow_nc=True))
     assert first == second
+
+
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 20), (3, 442)])
+def test_nc_tables_are_semigroups_with_a_pinned_zero(n, count):
+    # An n-arrow table with NC cells is an (n+1)-element semigroup whose
+    # extra element n is a zero read as NC: pin row n and column n to n and
+    # enumerate the rest.  Both searches try NC (or n) last, so the listings
+    # agree in order too.
+    partial = [[UNSET] * n + [n] for _ in range(n)] + [[n] * (n + 1)]
+    pinned = [
+        tuple(tuple(NC if v == n else v for v in row[:n]) for row in t.entries[:n])
+        for t in enumerate_associative_tables(n + 1, partial=partial)
+    ]
+    listed = [t.entries for t in enumerate_associative_tables(n, allow_nc=True)]
+    assert listed == pinned
+    assert len(listed) == count
+
+
+# SHA-256 of `enumerate-tables --size 4 --allow-nc` stdout (18,604 tables),
+# recorded before the solver's constraints could wait on a single cell.
+NC4_LISTING_SHA256 = "d608de3df080731d3f076adafa33228ad40414b8be84e43614189018c4b2de71"
+
+
+def test_size_4_nc_listing_is_byte_stable(capsys):
+    assert run(["enumerate-tables", "--size", "4", "--allow-nc"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 18604
+    assert hashlib.sha256(out.encode()).hexdigest() == NC4_LISTING_SHA256
 
 
 def _relabel(table, perm):
