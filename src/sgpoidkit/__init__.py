@@ -55,6 +55,7 @@ from .arrowtype import (
     enumerate_brute_force,
     enumerate_by_closure,
     enumerate_incremental,
+    extend_census,
     functional_digraph_count,
     graph_composition_table,
     is_transitively_closed,

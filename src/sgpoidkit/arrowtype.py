@@ -21,6 +21,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import shutil
+import tempfile
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,11 +35,16 @@ from .search import Problem, solve_all
 from .tables import NC, CompositionTable
 from .typestructure import TypeStructure
 
-# Cost guards: arc-set candidates scanned by brute force, search steps when
-# canonicalizing, transformation degree for functional digraphs.
-BRUTE_FORCE_LIMIT = 10**8
+# Cost guards: scan nodes of one brute-force cell (row 7's largest cell
+# takes 0.15 million, about 2 s), search steps when canonicalizing,
+# transformation degree for functional digraphs.
+BRUTE_FORCE_LIMIT = 5 * 10**5
 CANONICAL_LIMIT = 10**7
 FUNCTIONAL_DEGREE_LIMIT = 5
+
+# The incremental method cannot reach the complete graph on three objects
+# (nine arcs), so it is refused from there on.
+INCREMENTAL_ARROW_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -465,12 +473,54 @@ class ClassDatabase:
     non-isomorphic ones different forms, so inserting a graph is one
     :func:`canonical_form` call and a dict lookup, and the stored
     representatives are the canonical forms themselves.
+
+    Coverage: for each arc count k, the largest object count p such that
+    every class with k arcs and at most p objects is stored.  A census run
+    marks the rows it enumerated, up to its object bound.  :meth:`load`
+    infers whole rows only: a row k <= ``complete_arrows`` is covered on
+    all objects when it stores a class on 2k objects.  That class is k
+    detached arcs, and each method stores it only when it enumerates row k
+    on all 2k objects, which leaves the row complete: closure and the
+    incremental method reach it only through a detached arc on two fresh
+    objects, brute force only in the cell (k, 2k).  A row stored up to a
+    smaller bound is not inferred, because its largest node count does not
+    show that bound: earlier versions let a closure run extend stored
+    classes past its own object bound, into rows it left incomplete.  No
+    class with k arcs has fewer than ceil(sqrt(k)) objects, so every row
+    is covered up to ceil(sqrt(k)) - 1 without any stored class.
     """
 
     def __init__(self) -> None:
         self._buckets: dict = {}
-        # Largest arc count n such that classes with 0..n arcs are all present.
+        # Largest arc count n such that rows 0..n have each been enumerated
+        # up to the object bound of the run that touched them.
         self.complete_arrows: int = -1
+        self._coverage: dict = {}  # arc count -> object count
+
+    def coverage(self, n_arcs: int) -> int:
+        """Largest p such that every class with n_arcs arcs and at most p
+        objects is stored."""
+        return max(self._coverage.get(n_arcs, -1), math.isqrt(n_arcs - 1))
+
+    def mark_covered(self, n_arcs: int, max_objects: int) -> None:
+        """Record that every class with n_arcs arcs and at most max_objects
+        objects is stored."""
+        self._coverage[n_arcs] = max(
+            self.coverage(n_arcs), min(max_objects, 2 * n_arcs)
+        )
+
+    def first_uncovered(self, max_arrows: int, max_objects: int) -> int:
+        """Least arc count k <= max_arrows whose classes on at most
+        max_objects objects are not all stored, or max_arrows + 1."""
+        for k in range(1, max_arrows + 1):
+            if self.coverage(k) < min(max_objects, 2 * k):
+                return k
+        return max_arrows + 1
+
+    def covers(self, max_arrows: int, max_objects: int) -> bool:
+        """True when every class with 1..max_arrows arcs and at most
+        max_objects objects is stored."""
+        return self.first_uncovered(max_arrows, max_objects) > max_arrows
 
     def insert(self, graph) -> bool:
         """Record the class of ``graph`` (an :class:`ArrowTypeGraph` or an
@@ -504,37 +554,52 @@ class ClassDatabase:
             found.extend(bucket[key] for key in sorted(bucket))
         return found
 
-    def arc_range(self) -> tuple:
-        if not self._buckets:
-            return (0, -1)
-        ns = [n for (_, n) in self._buckets]
-        return (min(ns), max(ns))
-
     def save(self, path) -> None:
         """One JSON file per (node count, arc count) bucket plus a meta
-        file; canonical arc lists are sorted, so saves are byte-stable."""
+        file; canonical arc lists are sorted, so saves are byte-stable.
+
+        The files are written into a temporary directory inside the
+        database directory, so on the same file system even when that is a
+        mount point, then renamed into place one at a time, buckets by
+        ascending node count and meta.json last.  A rename replaces a file
+        whole, so a save that fails part-way leaves each file either old or
+        new, and the database readable: a new bucket holds every class of
+        the old one, and the old meta.json limits the inferred coverage to
+        the rows it named.  Files in the directory that are not the
+        database's stay."""
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
-        for (m, n), bucket in sorted(self._buckets.items()):
-            payload = {
-                "node_count": m,
-                "arc_count": n,
-                "classes": [[list(arc) for arc in key] for key in sorted(bucket)],
-            }
-            name = f"nodes{m:02d}_arcs{n:03d}.json"
-            (directory / name).write_text(
+        staging = Path(tempfile.mkdtemp(prefix=".saving-", dir=directory))
+        names: list = []
+
+        def write(name: str, payload: dict) -> None:
+            (staging / name).write_text(
                 json.dumps(payload, indent=1, sort_keys=True) + "\n"
             )
-        meta = {"complete_arrows": self.complete_arrows}
-        (directory / "meta.json").write_text(
-            json.dumps(meta, indent=1, sort_keys=True) + "\n"
-        )
+            names.append(name)
+
+        try:
+            for (m, n), bucket in sorted(self._buckets.items()):
+                write(
+                    f"nodes{m:02d}_arcs{n:03d}.json",
+                    {
+                        "node_count": m,
+                        "arc_count": n,
+                        "classes": [[list(arc) for arc in key] for key in sorted(bucket)],
+                    },
+                )
+            write("meta.json", {"complete_arrows": self.complete_arrows})
+            for name in names:
+                os.replace(staging / name, directory / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
 
     @classmethod
     def load(cls, path) -> "ClassDatabase":
-        """Read a directory written by :meth:`save`.  Each class goes through
-        :meth:`insert`, so an edited file whose arcs are not in canonical
-        form cannot count one class twice."""
+        """Read a directory written by :meth:`save` and infer its coverage
+        (see the class docstring).  Each class goes through :meth:`insert`,
+        so an edited file whose arcs are not in canonical form cannot count
+        one class twice."""
         directory = Path(path)
         database = cls()
         for bucket_file in sorted(directory.glob("nodes*_arcs*.json")):
@@ -548,91 +613,165 @@ class ClassDatabase:
         if meta_file.exists():
             meta = json.loads(meta_file.read_text())
             database.complete_arrows = meta.get("complete_arrows", -1)
+        for m, n in database._buckets:
+            if m == 2 * n and 1 <= n <= database.complete_arrows:
+                database._coverage[n] = m
         return database
 
 
 def seed(database: ClassDatabase) -> ClassDatabase:
     """Ensure the empty graph class is present (the only 0-arc class)."""
-    database.insert(ArrowTypeGraph(0, frozenset()))
+    if not database.count(0, 0):
+        database.insert(ArrowTypeGraph(0, frozenset()))
     database.complete_arrows = max(database.complete_arrows, 0)
     return database
 
 
 def enumerate_brute_force(n_arrows: int, m_objects: int) -> List[ArrowTypeGraph]:
     """All classes with exactly n arcs and exactly m non-isolated objects,
-    by scanning arc subsets directly.
+    by scanning arc sets directly.
 
-    The scan walks n-subsets of the m*m arc slots in lexicographic order,
-    pruning prefixes that can no longer cover all m objects, then filters by
-    transitive closure and deduplicates.  Guarded by the number of subsets,
-    comb(m*m, n).
+    The scan picks n of the m*m arc slots in row-major order, so every arc
+    list it builds is sorted.  It builds only lists whose objects are
+    numbered 0, 1, 2, ... in order of first appearance.  The lemma behind
+    :func:`canonical_form` says the lexicographically least labeling of a
+    graph is numbered that way, so every class is still met, while most of
+    its other labelings are never built (the weakest form of orderly
+    generation; Read, "Every one a winner", Ann. Discrete Math. 2, 1978).
+    A slot's endpoints may therefore use at most the next unused label, and
+    once a slot's domain is past that label, so is every later slot's, and
+    the loop ends.
+
+    Prefixes are also pruned when they can no longer use all m labels, or
+    when a two-step path through the new arc needs a composite arc whose
+    slot was passed over.  Complete lists are filtered by transitive
+    closure; a closed list that swapping two labels makes smaller is not a
+    least labeling, so it is dropped, and the rest are deduplicated by
+    canonical form.  Guarded by the number of scan nodes,
+    BRUTE_FORCE_LIMIT.
     """
     if n_arrows < 1 or m_objects < 1:
         raise DomainError("arc and object counts must be positive")
-    total = math.comb(m_objects * m_objects, n_arrows)
-    if total > BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(
-            f"brute force would scan {total} arc sets (limit {BRUTE_FORCE_LIMIT})"
-        )
-    if m_objects > 2 * n_arrows:
-        return []
     m = m_objects
+    limit = BRUTE_FORCE_LIMIT
     slots = [(d, c) for d in range(m) for c in range(m)]
-    masks = [(1 << d) | (1 << c) for d, c in slots]
-    full = (1 << m) - 1
     database = ClassDatabase()
     chosen: list = []
-    n_slots = len(slots)
+    out = [0] * m  # bit c of out[d], and bit d of into[c], for a chosen (d, c)
+    into = [0] * m
+    nodes = 0
+    closed = 0
 
-    def scan(start: int, covered: int) -> None:
+    def scan(start: int, used: int) -> None:
+        # used: labels 0..used-1 appear in the chosen prefix.
+        nonlocal nodes, closed
         remaining = n_arrows - len(chosen)
         if remaining == 0:
-            if covered == full:
+            if used == m:
                 arcs = frozenset(chosen)
                 if is_transitively_closed(arcs):
-                    database.insert(arcs)
+                    closed += 1
+                    if not _swap_shrinks(chosen, m):
+                        database.insert(arcs)
             return
-        for i in range(start, n_slots):
-            if n_slots - i < remaining:
+        for i in range(start, len(slots) - remaining + 1):
+            d, c = slots[i]
+            if d > used:
                 break
-            covered2 = covered | masks[i]
-            if m - _popcount(covered2) > 2 * (remaining - 1):
+            if d == used:
+                # d is new: c may be d itself or the label after it.
+                if c > used + 1:
+                    continue
+                now = used + 1 + (c > used)
+            elif c > used:
                 continue
-            chosen.append(slots[i])
-            scan(i + 1, covered2)
-            chosen.pop()
+            else:
+                now = used + (c == used)
+            if m - now > 2 * (remaining - 1):
+                continue
+            d_bit = 1 << d
+            c_bit = 1 << c
+            out[d] |= c_bit
+            into[c] |= d_bit
+            # A two-step path through (d, c) whose composite slot lies
+            # before (d, c) and was skipped can never be closed.
+            if not (out[c] & ~out[d] & (c_bit - 1) or into[d] & ~into[c] & (d_bit - 1)):
+                nodes += 1
+                if nodes > limit:
+                    raise ResourceLimitError(
+                        f"brute force at {n_arrows} arcs on {m} objects exceeded "
+                        f"{limit} scan nodes after {closed} closed arc sets "
+                        f"({database.total()} classes), at prefix {chosen + [(d, c)]}"
+                    )
+                chosen.append((d, c))
+                scan(i + 1, now)
+                chosen.pop()
+            out[d] ^= c_bit
+            into[c] ^= d_bit
 
     scan(0, 0)
     return database.classes(n_arrows, m_objects)
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def _swap_shrinks(arcs: list, m: int) -> bool:
+    """True when swapping two labels makes the sorted arc list ``arcs``
+    lexicographically smaller, so that it is not a canonical form."""
+    for a in range(m):
+        for b in range(a + 1, m):
+            swap = list(range(m))
+            swap[a], swap[b] = b, a
+            if sorted([(swap[d], swap[c]) for d, c in arcs]) < arcs:
+                return True
+    return False
 
 
-def enumerate_incremental(database: ClassDatabase, target_arrows: int) -> ClassDatabase:
-    """Extend a database complete through target_arrows-1 with every class
-    reachable by one new arc: between existing objects, touching one fresh
-    object, or as a detached arc on two fresh objects.
+def _check_incremental_target(target_arrows: int) -> None:
+    if target_arrows > INCREMENTAL_ARROW_LIMIT:
+        raise DomainError(
+            f"the incremental method misses classes from "
+            f"{INCREMENTAL_ARROW_LIMIT + 1} arcs on (the complete graph on "
+            f"three objects); asked for {target_arrows}"
+        )
+
+
+def enumerate_incremental(
+    database: ClassDatabase, target_arrows: int, max_objects: Optional[int] = None
+) -> ClassDatabase:
+    """Extend a database that covers rows 1..target_arrows-1 up to
+    max_objects objects (all objects by default) with every class on at
+    most max_objects objects reachable by one new arc: between existing
+    objects, touching one fresh object, or as a detached arc on two fresh
+    objects.  Classes the row already covers are not inserted again.
 
     Classes in which every arc is forced by a two-step path (the complete
     graph on three or more objects is the smallest, at nine arcs) are not
-    reachable this way; below that threshold the method is exhaustive,
-    which the cross-method tests confirm at desk scale.
+    reachable this way, so targets past INCREMENTAL_ARROW_LIMIT are
+    refused; below that threshold the method is exhaustive, which the
+    cross-method tests confirm through row 7.
     """
+    _check_incremental_target(target_arrows)
+    if max_objects is None:
+        max_objects = 2 * target_arrows
     seed(database)
-    if database.complete_arrows < target_arrows - 1:
+    if not database.covers(target_arrows - 1, max_objects):
         raise StaleDatabaseError(
-            f"database complete through {database.complete_arrows}, "
-            f"need {target_arrows - 1}"
+            f"database does not cover {target_arrows - 1} arcs on up to "
+            f"{max_objects} objects"
         )
-    for graph in list(database.classes(n_arcs=target_arrows - 1)):
+    covered = database.coverage(target_arrows)
+    for graph in database.classes(n_arcs=target_arrows - 1):
         arcs, m = graph.arcs, graph.m
-        for arc in one_more_arrow(arcs, m, added_object=False):
-            database.insert(ArrowTypeGraph(m, arcs | {arc}))
-        for arc in one_more_arrow(arcs, m + 1, added_object=True):
-            database.insert(ArrowTypeGraph(m + 1, arcs | {arc}))
-        database.insert(ArrowTypeGraph(m + 2, arcs | {(m, m + 1)}))
+        # p: object count of the extensions; m, m + 1 or m + 2.
+        for p in range(max(m, covered + 1), min(m + 2, max_objects) + 1):
+            if p == m:
+                extra = one_more_arrow(arcs, m)
+            elif p == m + 1:
+                extra = one_more_arrow(arcs, p, added_object=True)
+            else:
+                extra = [(m, m + 1)]
+            for arc in extra:
+                database.insert(ArrowTypeGraph(p, arcs | {arc}))
+    database.mark_covered(target_arrows, max_objects)
     database.complete_arrows = max(database.complete_arrows, target_arrows)
     return database
 
@@ -676,31 +815,80 @@ def enumerate_by_closure(
     additive method cannot cross.  Any closed graph is rebuilt arc by arc
     this way: intermediate closures stay inside the final graph, so the
     limits are never exceeded along the way.
+
+    Stored classes on more than max_objects objects are not extended, so
+    no class beyond the bound is stored.  A closure the database already
+    covers is not inserted: it is stored, and so it was in the frontier
+    from the start.
     """
     if max_objects is None:
         max_objects = 2 * max_arrows
     seed(database)
+    cover = [-1] + [database.coverage(k) for k in range(1, max_arrows + 1)]
     frontier = deque(database.classes())
     while frontier:
         graph = frontier.popleft()
-        if len(graph.arcs) >= max_arrows:
+        if len(graph.arcs) >= max_arrows or graph.m > max_objects:
             continue
         for (d, c), closed in _closed_extensions(graph, max_objects):
-            if len(closed) <= max_arrows and database.insert(closed):
-                frontier.append(ArrowTypeGraph(max(graph.m, d + 1, c + 1), closed))
+            k = len(closed)
+            if k <= max_arrows:
+                p = max(graph.m, d + 1, c + 1)
+                if p > cover[k] and database.insert(closed):
+                    frontier.append(ArrowTypeGraph(p, closed))
+    for k in range(1, max_arrows + 1):
+        database.mark_covered(k, max_objects)
     database.complete_arrows = max(database.complete_arrows, max_arrows)
     return database
+
+
+def extend_census(
+    database: ClassDatabase,
+    method: str,
+    max_arrows: int,
+    max_objects: Optional[int] = None,
+) -> bool:
+    """Make the database cover every class with 1..max_arrows arcs on at
+    most max_objects objects (all objects by default), by the "closure",
+    "incremental" or "brute" method.  The incremental and brute-force
+    methods start from the first row the database does not cover, and
+    brute force scans only the cells past each row's coverage.  False when
+    the database already covered the request and nothing ran."""
+    if method not in ("closure", "incremental", "brute"):
+        raise DomainError(f"unknown census method {method!r}")
+    if max_objects is None:
+        max_objects = 2 * max_arrows
+    if method == "incremental":
+        _check_incremental_target(max_arrows)  # before any row is built
+    start = database.first_uncovered(max_arrows, max_objects)
+    if start > max_arrows:
+        return False
+    if method == "closure":
+        enumerate_by_closure(database, max_arrows, max_objects)
+    elif method == "incremental":
+        for n in range(start, max_arrows + 1):
+            enumerate_incremental(database, n, max_objects)
+    else:
+        seed(database)
+        for n in range(start, max_arrows + 1):
+            for m in range(database.coverage(n) + 1, min(2 * n, max_objects) + 1):
+                for graph in enumerate_brute_force(n, m):
+                    database.insert(graph)
+            database.mark_covered(n, max_objects)
+        database.complete_arrows = max(database.complete_arrows, max_arrows)
+    return True
 
 
 def count_table(
     database: ClassDatabase, max_arrows: int, max_objects: int
 ) -> List[List[int]]:
     """Counts matrix: rows are arc counts 1..max_arrows, columns object
-    counts 1..max_objects."""
-    if database.complete_arrows < max_arrows:
+    counts 1..max_objects.  Refused unless the database covers them."""
+    k = database.first_uncovered(max_arrows, max_objects)
+    if k <= max_arrows:
         raise StaleDatabaseError(
-            f"database complete through {database.complete_arrows}, "
-            f"need {max_arrows}"
+            f"database covers {k} arcs up to {database.coverage(k)} objects, "
+            f"need {min(max_objects, 2 * k)}"
         )
     return [
         [database.count(n, m) for m in range(1, max_objects + 1)]

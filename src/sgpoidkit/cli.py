@@ -22,10 +22,7 @@ from .arrowtype import (
     ArrowTypeGraph,
     ClassDatabase,
     count_table,
-    enumerate_brute_force,
-    enumerate_by_closure,
-    enumerate_incremental,
-    seed,
+    extend_census,
 )
 from .errors import (
     ConfigurationError,
@@ -204,24 +201,7 @@ def _cmd_arrowtypes(opts: dict) -> int:
     else:
         database = ClassDatabase()
     method = opts.get("method", "closure")
-    if method == "closure":
-        enumerate_by_closure(database, max_arrows, max_objects)
-    elif method == "incremental":
-        seed(database)
-        for n in range(database.complete_arrows + 1, max_arrows + 1):
-            enumerate_incremental(database, n)
-    else:
-        seed(database)
-        cells = [
-            (n, m)
-            for n in range(1, max_arrows + 1)
-            for m in range(1, min(2 * n, max_objects) + 1)
-        ]
-        for n, m in cells:
-            for graph in enumerate_brute_force(n, m):
-                database.insert(graph)
-        database.complete_arrows = max(database.complete_arrows, max_arrows)
-    if db_dir:
+    if extend_census(database, method, max_arrows, max_objects) and db_dir:
         database.save(db_dir)
     counts = count_table(database, max_arrows, max_objects)
     print(_render_counts(counts, opts.get("emit_table", "md")))

@@ -50,8 +50,10 @@ TABLE_ROWS = {
     3: [0, 1, 8, 8, 3, 1],
     4: [0, 1, 8, 23, 23, 11, 3, 1],
     5: [0, 0, 6, 34, 67, 64, 32, 11, 3, 1],
+    6: [0, 0, 3, 42, 132, 211, 185, 97, 36, 11, 3, 1],
+    7: [0, 0, 2, 35, 205, 486, 652, 536, 283, 110, 36, 11, 3, 1],
 }
-ROW_SUMS = {1: 2, 2: 7, 3: 21, 4: 70, 5: 218}
+ROW_SUMS = {1: 2, 2: 7, 3: 21, 4: 70, 5: 218, 6: 721, 7: 2360}
 
 
 def _best_of(fn, repeats=3):
@@ -178,26 +180,43 @@ def test_criterion_06a_census_rows_1_to_4(census_row4):
     _report("6a", "arrow-type census rows 1-4, three methods", seconds)
 
 
-@pytest.mark.slow
-def test_criterion_06b_census_row_5():
+def _census_row_by_three_methods(n):
+    # Every cell of row n agrees across the three methods and with the
+    # pinned counts; returns the elapsed time.
     start = time.perf_counter()
     closure_db = ClassDatabase()
-    enumerate_by_closure(closure_db, 5)
+    enumerate_by_closure(closure_db, n)
     incremental_db = ClassDatabase()
-    for n in range(1, 6):
-        enumerate_incremental(incremental_db, n)
-    for m in range(1, 11):
-        expected = TABLE_ROWS[5][m - 1]
-        classes = {g.sorted_arcs for g in enumerate_brute_force(5, m)}
-        assert len(classes) == expected, m
-        assert {g.sorted_arcs for g in closure_db.classes(5, m)} == classes, m
-        assert {g.sorted_arcs for g in incremental_db.classes(5, m)} == classes, m
-    row = count_table(closure_db, 5, 10)[4]
-    assert row == TABLE_ROWS[5]
-    assert sum(row) == 218
-    seconds = time.perf_counter() - start
-    assert seconds < 1800.0
+    for k in range(1, n + 1):
+        enumerate_incremental(incremental_db, k)
+    for m in range(1, 2 * n + 1):
+        classes = {g.sorted_arcs for g in enumerate_brute_force(n, m)}
+        assert len(classes) == TABLE_ROWS[n][m - 1], m
+        assert {g.sorted_arcs for g in closure_db.classes(n, m)} == classes, m
+        assert {g.sorted_arcs for g in incremental_db.classes(n, m)} == classes, m
+    row = count_table(closure_db, n, 2 * n)[n - 1]
+    assert row == TABLE_ROWS[n]
+    assert sum(row) == ROW_SUMS[n]
+    return time.perf_counter() - start
+
+
+def test_criterion_06b_census_row_5():
+    seconds = _census_row_by_three_methods(5)
+    assert seconds < 60.0
     _report("6b", "arrow-type census row 5, three methods", seconds)
+
+
+def test_criterion_06c_census_row_6():
+    seconds = _census_row_by_three_methods(6)
+    assert seconds < 300.0
+    _report("6c", "arrow-type census row 6, three methods", seconds)
+
+
+@pytest.mark.slow
+def test_criterion_06d_census_row_7():
+    seconds = _census_row_by_three_methods(7)
+    assert seconds < 1800.0
+    _report("6d", "arrow-type census row 7, three methods", seconds)
 
 
 def test_criterion_07_one_more_arrow_queries():

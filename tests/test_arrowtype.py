@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from sgpoidkit import (
     enumerate_brute_force,
     enumerate_by_closure,
     enumerate_incremental,
+    extend_census,
     functional_digraph_count,
     graph_composition_table,
     infer_types,
@@ -305,9 +307,67 @@ def test_brute_force_matches_independent_oracle():
             assert ours == brute_force_graph_classes(n, m)
 
 
-def test_brute_force_guard():
-    with pytest.raises(ResourceLimitError):
+def test_brute_force_guard(monkeypatch):
+    # The guard counts scan nodes.  (8, 16), refused when the guard counted
+    # the comb(256, 8) arc subsets, builds only the 8 disjoint arcs now.
+    eight_arcs = tuple((2 * i, 2 * i + 1) for i in range(8))
+    assert [g.sorted_arcs for g in enumerate_brute_force(8, 16)] == [eight_arcs]
+    import sgpoidkit.arrowtype as arrowtype
+
+    monkeypatch.setattr(arrowtype, "BRUTE_FORCE_LIMIT", 5)
+    with pytest.raises(ResourceLimitError, match="exceeded 5 scan nodes"):
         enumerate_brute_force(8, 16)
+    # The refusal says how far the scan got.
+    monkeypatch.setattr(arrowtype, "BRUTE_FORCE_LIMIT", 1000)
+    with pytest.raises(ResourceLimitError) as excinfo:
+        enumerate_brute_force(5, 5)
+    message = str(excinfo.value)
+    assert "at 5 arcs on 5 objects exceeded 1000 scan nodes after " in message
+    assert "closed arc sets (" in message and "at prefix [(0, " in message
+
+
+def test_brute_force_scan_work_is_pinned(monkeypatch):
+    # (6, 6) takes exactly 12,113 scan nodes with every pruning rule; the
+    # first-appearance rule alone takes 46,182.
+    import sgpoidkit.arrowtype as arrowtype
+
+    monkeypatch.setattr(arrowtype, "BRUTE_FORCE_LIMIT", 12113)
+    assert len(enumerate_brute_force(6, 6)) == 211
+    monkeypatch.setattr(arrowtype, "BRUTE_FORCE_LIMIT", 12112)
+    with pytest.raises(ResourceLimitError):
+        enumerate_brute_force(6, 6)
+
+
+def test_brute_force_inserts_first_appearance_orders_only(monkeypatch):
+    # Every arc list handed to insert numbers its objects 0, 1, 2, ... in
+    # order of first appearance.
+    import sgpoidkit.arrowtype as arrowtype
+
+    seen = []
+    original = arrowtype.ClassDatabase.insert
+
+    def recording_insert(self, graph):
+        seen.append(graph)
+        return original(self, graph)
+
+    monkeypatch.setattr(arrowtype.ClassDatabase, "insert", recording_insert)
+    for m in range(1, 7):
+        enumerate_brute_force(3, m)
+    for arcs in seen:
+        arcs = sorted(arcs)
+        order = []
+        for arc in arcs:
+            for x in arc:
+                if x not in order:
+                    order.append(x)
+        assert order == list(range(len(order)))
+        # Nor does swapping two labels shrink it.
+        for a, b in itertools.combinations(order, 2):
+            swap = {**{x: x for x in order}, a: b, b: a}
+            assert sorted((swap[d], swap[c]) for d, c in arcs) >= arcs
+    # Row 3 has 455 labeled closed arc sets; 50 are so ordered, and 23 of
+    # those pass the swap test (21 classes).
+    assert len(seen) == 23
 
 
 def test_incremental_matches_brute_through_four():
@@ -335,6 +395,39 @@ def test_closure_method_rows_and_sums():
     assert database.count(4, 2) == 1
 
 
+# Transitive relations on k points, unlabeled (OEIS A091073; Pfeiffer,
+# "Counting transitive relations", J. Integer Seq. 7, 2004) and labeled
+# (OEIS A006905).  A relation is a closed graph on the points it touches
+# plus isolated points, so the classes on at most k objects count them.
+UNLABELED_TRANSITIVE = {1: 2, 2: 8, 3: 39, 4: 242, 5: 1895}
+LABELED_TRANSITIVE = {1: 2, 2: 13, 3: 171, 4: 3994}
+
+
+def _classes_on_at_most(k):
+    database = ClassDatabase()
+    enumerate_by_closure(database, k * k, k)
+    return database.classes()
+
+
+@pytest.mark.parametrize(
+    "k", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+)
+def test_classes_on_at_most_k_objects_count_unlabeled_transitive_relations(k):
+    assert len(_classes_on_at_most(k)) == UNLABELED_TRANSITIVE[k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_classes_on_at_most_k_objects_count_labeled_transitive_relations(k):
+    # A class on m objects has m!/|Aut G| labelings on each m of the k points.
+    total = 0
+    for graph in _classes_on_at_most(k):
+        automorphisms = sum(1 for _ in digraph_isomorphisms(graph, graph))
+        labelings, rest = divmod(math.factorial(graph.m), automorphisms)
+        assert rest == 0
+        total += math.comb(k, graph.m) * labelings
+    assert total == LABELED_TRANSITIVE[k]
+
+
 def test_isolated_arrow_classes_and_near_maximal_cells():
     database = ClassDatabase()
     enumerate_by_closure(database, 4)
@@ -349,6 +442,149 @@ def test_count_table_requires_completeness():
     enumerate_by_closure(database, 2)
     with pytest.raises(StaleDatabaseError):
         count_table(database, 3, 6)
+
+
+def test_count_table_requires_the_object_range():
+    database = ClassDatabase()
+    enumerate_by_closure(database, 3, 2)
+    assert count_table(database, 3, 2) == [[1, 1], [0, 3], [0, 1]]
+    with pytest.raises(StaleDatabaseError, match="covers 2 arcs up to 2 objects"):
+        count_table(database, 3, 6)
+    # Row 5 has no class on 2 objects, so (5, 2) needs no row 5 stored.
+    enumerate_by_closure(database, 4, 2)
+    assert count_table(database, 5, 2)[3:] == [[0, 1], [0, 0]]
+
+
+# (method, max_arrows, max_objects) runs on one database, in order.
+COVERAGE_RUNS = [
+    [("closure", 4, None)],
+    [("closure", 5, 2), ("closure", 3, None)],
+    [("brute", 3, 3), ("incremental", 4, 3)],
+    [("closure", 3, None), ("closure", 5, 2)],
+    [("incremental", 3, 4), ("brute", 4, 5)],
+]
+
+
+@pytest.mark.parametrize("runs", COVERAGE_RUNS)
+def test_load_infers_the_whole_rows_the_runs_marked(runs, tmp_path):
+    database = ClassDatabase()
+    for method, max_arrows, max_objects in runs:
+        assert extend_census(database, method, max_arrows, max_objects)
+    database.save(tmp_path / "db")
+    loaded = ClassDatabase.load(tmp_path / "db")
+    marked = [database.coverage(k) for k in range(1, 9)]
+    # Rows marked on all 2k objects are inferred; the others fall back to
+    # the ceil(sqrt(k)) - 1 objects that no k-arc class fits in.
+    inferred = [
+        p if p == 2 * k else math.isqrt(k - 1) for k, p in enumerate(marked, 1)
+    ]
+    assert [loaded.coverage(k) for k in range(1, 9)] == inferred
+    # Each row holds exactly the classes up to its marked coverage.
+    full = ClassDatabase()
+    enumerate_by_closure(full, 5)
+    for k in range(1, 6):
+        for m in range(1, 11):
+            expected = full.count(k, m) if m <= marked[k - 1] else 0
+            assert loaded.count(k, m) == expected, (k, m)
+
+
+def test_load_does_not_trust_rows_an_earlier_version_overextended(tmp_path, capsys):
+    # Earlier versions let `--max-arrows 5 --max-objects 2` on a database
+    # complete through 3 arcs extend its 3-arc classes on up to 6 objects
+    # between their own objects, leaving rows 4 and 5 incomplete but with
+    # classes on 6 objects.  Their largest node count is no proof of
+    # coverage, so such rows are enumerated again.
+    from sgpoidkit.cli import run
+
+    database = ClassDatabase()
+    enumerate_by_closure(database, 3)
+    enumerate_by_closure(database, 5, 2)
+    database.insert({(0, 0), (0, 1), (2, 3), (4, 5)})
+    database.insert({(0, 0), (0, 1), (1, 1), (2, 3), (4, 5)})
+    database.save(tmp_path / "db")
+    loaded = ClassDatabase.load(tmp_path / "db")
+    assert loaded.count(5, 6) == 1 and not loaded.covers(4, 3)
+    argv = ["arrowtypes", "--max-arrows", "5", "--max-objects", "6",
+            "--db", str(tmp_path / "db"), "--emit-table", "json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["row_sums"] == [2, 7, 21, 66, 171]
+
+
+def test_covered_request_runs_nothing(monkeypatch):
+    database = ClassDatabase()
+    assert extend_census(database, "closure", 4)
+    import sgpoidkit.arrowtype as arrowtype
+
+    calls = []
+    monkeypatch.setattr(arrowtype, "canonical_form", calls.append)
+    for method in ("closure", "incremental", "brute"):
+        assert not extend_census(database, method, 4)
+        assert not extend_census(database, method, 3, 5)
+    assert calls == []
+    with pytest.raises(DomainError, match="unknown census method"):
+        extend_census(database, "orderly", 4)
+
+
+def test_extension_inserts_only_new_rows(monkeypatch):
+    # Closing a 5-arc database to 6 arcs inserts no closure the database
+    # already covers, so only 6-arc closures are inserted.
+    database = ClassDatabase()
+    enumerate_by_closure(database, 5)
+    import sgpoidkit.arrowtype as arrowtype
+
+    inserted = []
+    original = arrowtype.ClassDatabase.insert
+
+    def recording_insert(self, graph):
+        arcs = arrowtype._arcset(graph)
+        inserted.append((len(arcs), len(arrowtype._nodes(arcs))))
+        return original(self, graph)
+
+    monkeypatch.setattr(arrowtype.ClassDatabase, "insert", recording_insert)
+    enumerate_by_closure(database, 6)
+    assert inserted and {k for k, _ in inserted} == {6}
+    assert [sum(row) for row in count_table(database, 6, 12)][-2:] == [218, 721]
+    # Incremental and brute force skip the covered rows and cells too.
+    inserted.clear()
+    enumerate_incremental(database, 7, 3)
+    assert set(inserted) == {(7, 3)}
+    inserted.clear()
+    assert extend_census(database, "brute", 7, 4)
+    assert set(inserted) == {(7, 4)}
+    assert database.count(7, 4) == 35
+
+
+def test_closure_stores_no_class_past_its_object_bound():
+    # A stored class on 6 objects is not extended by a run bounded to 2,
+    # so the rows that run touches stay complete up to their largest class.
+    database = ClassDatabase()
+    enumerate_by_closure(database, 3)
+    enumerate_by_closure(database, 5, 2)
+    assert database.classes(4) == database.classes(4, 2)
+    assert database.classes(5) == []
+    assert database.coverage(4) == 2 and not database.covers(4, 3)
+
+
+def test_incremental_honours_max_objects():
+    database = ClassDatabase()
+    for n in range(1, 7):
+        enumerate_incremental(database, n, 3)
+    full = ClassDatabase()
+    enumerate_by_closure(full, 6, 3)
+    for n in range(1, 7):
+        assert database.classes(n) == full.classes(n), n
+    assert max(g.m for g in database.classes()) == 3
+    with pytest.raises(StaleDatabaseError):
+        enumerate_incremental(database, 7)  # row 6 covered to 3 objects only
+
+
+def test_incremental_refuses_rows_it_cannot_reach():
+    database = ClassDatabase()
+    with pytest.raises(DomainError, match="complete graph on three objects"):
+        enumerate_incremental(database, 9, 3)
+    with pytest.raises(DomainError):
+        extend_census(database, "incremental", 9, 3)
+    assert database.total() == 0
 
 
 def test_methods_agree_through_three():
@@ -414,6 +650,73 @@ def test_database_save_load_round_trip(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for a, b in zip(first, second):
         assert a.read_text() == b.read_text()
+
+
+def _tree(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_save_failure_while_writing_leaves_the_old_database(tmp_path, monkeypatch):
+    import sgpoidkit.arrowtype as arrowtype
+
+    old = ClassDatabase()
+    enumerate_by_closure(old, 3, 3)
+    old.save(tmp_path / "db")
+    (tmp_path / "db" / "notes.txt").write_text("kept")
+    before = _tree(tmp_path / "db")
+    new = ClassDatabase()
+    enumerate_by_closure(new, 4)
+    written = []
+    original = arrowtype.Path.write_text
+
+    def failing_write(self, text):
+        if len(written) == 5:
+            raise OSError("disk full")
+        written.append(self.name)
+        return original(self, text)
+
+    monkeypatch.setattr(arrowtype.Path, "write_text", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        new.save(tmp_path / "db")
+    assert _tree(tmp_path / "db") == before  # staging directory removed too
+
+
+def test_save_failure_while_renaming_leaves_a_sound_database(tmp_path, monkeypatch):
+    # Cut the renames after each file in turn: every file is whole, and
+    # whatever the loaded database claims to cover, it holds.
+    import sgpoidkit.arrowtype as arrowtype
+
+    old = ClassDatabase()
+    enumerate_by_closure(old, 3, 3)
+    new = ClassDatabase()
+    enumerate_by_closure(new, 3, 3)
+    enumerate_by_closure(new, 4)
+    files = len(new._buckets) + 1
+    original = arrowtype.os.replace
+    for cut in range(files + 1):
+        directory = tmp_path / f"db{cut}"
+        old.save(directory)
+        renamed = []
+
+        def failing_replace(src, dst):
+            if len(renamed) == cut:
+                raise OSError("interrupted")
+            renamed.append(dst)
+            original(src, dst)
+
+        monkeypatch.setattr(arrowtype.os, "replace", failing_replace)
+        if cut < files:
+            with pytest.raises(OSError):
+                new.save(directory)
+        else:
+            new.save(directory)
+        monkeypatch.setattr(arrowtype.os, "replace", original)
+        loaded = ClassDatabase.load(directory)
+        for k in range(1, 5):
+            for m in range(1, loaded.coverage(k) + 1):
+                assert loaded.count(k, m) == new.count(k, m), (cut, k, m)
+        assert loaded.covers(1, 2)
+        assert loaded.covers(4, 8) == (cut == files)
 
 
 def test_database_load_recanonicalizes_edited_classes(tmp_path):

@@ -158,6 +158,105 @@ def test_arrowtypes_db_persistence(tmp_path, capsys):
     assert "70" in second and first != second
 
 
+def _row_sums(argv, capsys):
+    code = run(argv + ["--emit-table", "json"])
+    out = capsys.readouterr().out
+    return code, json.loads(out)["row_sums"] if code == 0 else None
+
+
+@pytest.mark.parametrize("method", ["closure", "incremental", "brute"])
+def test_arrowtypes_restricted_database_is_not_reused_past_its_range(
+    method, tmp_path, capsys
+):
+    # A database built on at most 2 objects holds rows 1-3 only partly; a
+    # full request either completes them or is refused, never counted short.
+    db_dir = str(tmp_path / "db")
+    assert _row_sums(
+        ["arrowtypes", "--max-arrows", "3", "--max-objects", "2", "--db", db_dir],
+        capsys,
+    ) == (0, [2, 3, 1])
+    code, sums = _row_sums(
+        ["arrowtypes", "--max-arrows", "3", "--method", method, "--db", db_dir],
+        capsys,
+    )
+    assert (code, sums) in ((0, [2, 7, 21]), (2, None))
+
+
+def test_arrowtypes_restricted_extension_is_not_full_coverage(tmp_path, capsys):
+    db_dir = str(tmp_path / "db")
+    assert _row_sums(["arrowtypes", "--max-arrows", "3", "--db", db_dir], capsys)[0] == 0
+    assert _row_sums(
+        ["arrowtypes", "--max-arrows", "5", "--max-objects", "2", "--db", db_dir],
+        capsys,
+    ) == (0, [2, 3, 1, 1, 0])
+    # Rows 4 and 5 are stored on at most 2 objects only.
+    for objects, sums in (("6", [2, 7, 21, 66, 171]), ("10", [2, 7, 21, 70, 218])):
+        assert _row_sums(
+            ["arrowtypes", "--max-arrows", "5", "--max-objects", objects,
+             "--method", "incremental", "--db", db_dir],
+            capsys,
+        ) == (0, sums)
+
+
+def test_arrowtypes_covered_rerun_only_loads(tmp_path, capsys, monkeypatch):
+    import sgpoidkit.arrowtype as arrowtype
+
+    db_dir = tmp_path / "db"
+    argv = ["arrowtypes", "--max-arrows", "5", "--db", str(db_dir)]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in db_dir.iterdir()}
+    calls = []
+    original = arrowtype.canonical_form
+
+    def counting(graph):
+        calls.append(1)
+        return original(graph)
+
+    monkeypatch.setattr(arrowtype, "canonical_form", counting)
+    arrowtype.ClassDatabase.load(db_dir)
+    loading = len(calls)
+    assert loading == 1 + 2 + 7 + 21 + 70 + 218
+    calls.clear()
+    for extra in ([], ["--max-objects", "4"], ["--max-arrows", "3"]):
+        assert run(argv + extra) == 0
+        assert len(calls) == loading
+        calls.clear()
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in db_dir.iterdir()}
+    assert after == before  # not rewritten
+
+
+def test_arrowtypes_extension_inserts_only_the_new_row(tmp_path, capsys, monkeypatch):
+    import sgpoidkit.arrowtype as arrowtype
+
+    db_dir = str(tmp_path / "db")
+    assert run(["arrowtypes", "--max-arrows", "5", "--db", db_dir]) == 0
+    inserted = []
+    original = arrowtype.ClassDatabase.insert
+
+    def recording_insert(self, graph):
+        inserted.append(len(arrowtype._arcset(graph)))
+        return original(self, graph)
+
+    monkeypatch.setattr(arrowtype.ClassDatabase, "insert", recording_insert)
+    assert run(["arrowtypes", "--max-arrows", "6", "--db", db_dir]) == 0
+    loading = 1 + 2 + 7 + 21 + 70 + 218  # one insert per stored class
+    assert max(inserted[:loading]) == 5
+    assert set(inserted[loading:]) == {6}
+
+
+def test_arrowtypes_incremental_refuses_nine_arrows_at_once(capsys):
+    start = time.perf_counter()
+    for extra in (["--max-objects", "3"], []):
+        argv = ["arrowtypes", "--method", "incremental", "--max-arrows", "9"]
+        assert run(argv + extra) == 2
+        assert "complete graph on three objects" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_arrowtypes_db_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SGPOIDKIT_DB", str(tmp_path / "envdb"))
     assert run(["arrowtypes", "--max-arrows", "2"]) == 0
