@@ -158,43 +158,54 @@ def transitive_closure(arcs) -> ArrowTypeGraph:
     return ArrowTypeGraph.from_arcs(_closure_arcs(_arcset(arcs)))
 
 
-def _stays_closed(arcs: set, arc: tuple) -> bool:
-    # arcs is assumed closed; only compositions through the new arc matter.
-    extended = set(arcs)
-    extended.add(arc)
-    d, c = arc
-    for y, z in extended:
-        if y == c and (d, z) not in extended:
-            return False
-    for w, x in extended:
-        if x == d and (w, c) not in extended:
-            return False
-    return True
+def _closed_extensions(arcs: frozenset, m: int, max_objects: int) -> Iterator[tuple]:
+    """(arc, closure, p) for each arc that can be added to the closed arcs
+    on objects 0..m-1 within max_objects objects, where p is the object
+    count of the extension: between existing objects in row-major order
+    (p = m), then (i, m) and (m, i) for each object i and the loop (m, m)
+    on a fresh object m (p = m + 1), then the detached arc (m, m + 1)
+    (p = m + 2).
+
+    Since the arcs are closed, every new two-step path runs through the
+    new arc (d, c), so the closure is the arcs plus ({d} | In(d)) x ({c} |
+    Out(c)), taken in one pass.
+    """
+    sources = [[x] for x in range(m + 2)]
+    targets = [[x] for x in range(m + 2)]
+    for d, c in arcs:
+        sources[c].append(d)
+        targets[d].append(c)
+    candidates = [((d, c), m) for d in range(m) for c in range(m) if (d, c) not in arcs]
+    if m + 1 <= max_objects:
+        for i in range(m):
+            candidates += [((i, m), m + 1), ((m, i), m + 1)]
+        candidates.append(((m, m), m + 1))
+    if m + 2 <= max_objects:
+        candidates.append(((m, m + 1), m + 2))
+    for (d, c), p in candidates:
+        yield (d, c), arcs.union([(w, z) for w in sources[d] for z in targets[c]]), p
 
 
 def one_more_arrow(arcs, m: int, added_object: bool = False) -> list:
-    """Arcs addable to a transitively closed arc set over objects 0..m-1
-    such that the result is still transitively closed without recomputing a
-    closure.
+    """Arcs addable to a transitively closed arc set on objects 0..m-1 such
+    that the result is still transitively closed.
 
-    With ``added_object`` the object m-1 is fresh and the new arc must touch
-    it; candidates are tried as (i, m-1), (m-1, i) for each older object i,
-    then the loop (m-1, m-1).  Otherwise candidates run in row-major order.
+    With ``added_object`` the object m-1 is fresh (no arc may touch it) and
+    the new arc must touch it; candidates are tried as (i, m-1), (m-1, i)
+    for each older object i, then the loop (m-1, m-1).  Otherwise
+    candidates run in row-major order.  Arcs off these objects raise
+    :class:`DomainError`.  Since the arcs are closed, adding one arc leaves
+    them closed exactly when its one-pass closure in
+    :func:`_closed_extensions` adds nothing else.
     """
-    arcset = set(map(tuple, arcs))
-    if added_object:
-        new = m - 1
-        candidates = []
-        for i in range(new):
-            candidates.append((i, new))
-            candidates.append((new, i))
-        candidates.append((new, new))
-    else:
-        candidates = [(d, c) for d in range(m) for c in range(m)]
+    arcs = frozenset(map(tuple, arcs))
+    existing = m - added_object
+    if not all(0 <= x < existing for arc in arcs for x in arc):
+        raise DomainError(f"arcs must lie on objects 0..{existing - 1}")
     return [
-        cand
-        for cand in candidates
-        if cand not in arcset and _stays_closed(arcset, cand)
+        arc
+        for arc, closure, p in _closed_extensions(arcs, existing, m)
+        if p == m and len(closure) == len(arcs) + 1
     ]
 
 
@@ -504,10 +515,11 @@ class ClassDatabase:
 
     def mark_covered(self, n_arcs: int, max_objects: int) -> None:
         """Record that every class with n_arcs arcs and at most max_objects
-        objects is stored."""
+        objects is stored, and that rows 0..n_arcs have been enumerated."""
         self._coverage[n_arcs] = max(
             self.coverage(n_arcs), min(max_objects, 2 * n_arcs)
         )
+        self.complete_arrows = max(self.complete_arrows, n_arcs)
 
     def first_uncovered(self, max_arrows: int, max_objects: int) -> int:
         """Least arc count k <= max_arrows whose classes on at most
@@ -760,47 +772,11 @@ def enumerate_incremental(
         )
     covered = database.coverage(target_arrows)
     for graph in database.classes(n_arcs=target_arrows - 1):
-        arcs, m = graph.arcs, graph.m
-        # p: object count of the extensions; m, m + 1 or m + 2.
-        for p in range(max(m, covered + 1), min(m + 2, max_objects) + 1):
-            if p == m:
-                extra = one_more_arrow(arcs, m)
-            elif p == m + 1:
-                extra = one_more_arrow(arcs, p, added_object=True)
-            else:
-                extra = [(m, m + 1)]
-            for arc in extra:
-                database.insert(ArrowTypeGraph(p, arcs | {arc}))
+        for _, closure, p in _closed_extensions(graph.arcs, graph.m, max_objects):
+            if covered < p <= max_objects and len(closure) == target_arrows:
+                database.insert(ArrowTypeGraph(p, closure))
     database.mark_covered(target_arrows, max_objects)
-    database.complete_arrows = max(database.complete_arrows, target_arrows)
     return database
-
-
-def _closed_extensions(graph: ArrowTypeGraph, max_objects: int) -> Iterator[tuple]:
-    """(arc, closure) for each arc that can be added to the closed ``graph``
-    within max_objects objects: between its objects in row-major order,
-    then (i, m) and (m, i) for each object i and the loop (m, m) on a fresh
-    object m, then the detached arc (m, m + 1).
-
-    Since ``graph`` is closed, every new two-step path runs through the new
-    arc (d, c), so the closure is the arcs plus ({d} | In(d)) x ({c} |
-    Out(c)), taken in one pass.
-    """
-    arcs, m = graph.arcs, graph.m
-    sources = [[x] for x in range(m + 2)]
-    targets = [[x] for x in range(m + 2)]
-    for d, c in arcs:
-        sources[c].append(d)
-        targets[d].append(c)
-    candidates = [(d, c) for d in range(m) for c in range(m) if (d, c) not in arcs]
-    if m + 1 <= max_objects:
-        for i in range(m):
-            candidates += [(i, m), (m, i)]
-        candidates.append((m, m))
-    if m + 2 <= max_objects:
-        candidates.append((m, m + 1))
-    for d, c in candidates:
-        yield (d, c), arcs.union([(w, z) for w in sources[d] for z in targets[c]])
 
 
 def enumerate_by_closure(
@@ -830,15 +806,12 @@ def enumerate_by_closure(
         graph = frontier.popleft()
         if len(graph.arcs) >= max_arrows or graph.m > max_objects:
             continue
-        for (d, c), closed in _closed_extensions(graph, max_objects):
+        for _, closed, p in _closed_extensions(graph.arcs, graph.m, max_objects):
             k = len(closed)
-            if k <= max_arrows:
-                p = max(graph.m, d + 1, c + 1)
-                if p > cover[k] and database.insert(closed):
-                    frontier.append(ArrowTypeGraph(p, closed))
+            if k <= max_arrows and p > cover[k] and database.insert(closed):
+                frontier.append(ArrowTypeGraph(p, closed))
     for k in range(1, max_arrows + 1):
         database.mark_covered(k, max_objects)
-    database.complete_arrows = max(database.complete_arrows, max_arrows)
     return database
 
 
@@ -858,6 +831,8 @@ def extend_census(
         raise DomainError(f"unknown census method {method!r}")
     if max_objects is None:
         max_objects = 2 * max_arrows
+    if max_arrows < 1 or max_objects < 1:
+        raise DomainError("arc and object counts must be positive")
     if method == "incremental":
         _check_incremental_target(max_arrows)  # before any row is built
     start = database.first_uncovered(max_arrows, max_objects)
@@ -875,7 +850,6 @@ def extend_census(
                 for graph in enumerate_brute_force(n, m):
                     database.insert(graph)
             database.mark_covered(n, max_objects)
-        database.complete_arrows = max(database.complete_arrows, max_arrows)
     return True
 
 

@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .arrowtype import (
@@ -48,12 +47,6 @@ from .tables import (
     is_associative,
 )
 from .typestructure import infer_types, minimal_objects
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    options: dict
 
 
 def _load_json(path: str):
@@ -194,7 +187,9 @@ def _render_counts(counts, fmt: str) -> str:
 
 def _cmd_arrowtypes(opts: dict) -> int:
     max_arrows = opts["max_arrows"]
-    max_objects = opts.get("max_objects") or 2 * max_arrows
+    max_objects = opts.get("max_objects")
+    if max_objects is None:
+        max_objects = 2 * max_arrows
     db_dir = opts.get("db") or os.environ.get("SGPOIDKIT_DB")
     if db_dir and os.path.isdir(db_dir) and os.listdir(db_dir):
         database = ClassDatabase.load(db_dir)
@@ -229,6 +224,8 @@ def _cmd_generate(opts: dict) -> int:
 def _cmd_represent(opts: dict) -> int:
     table = _load_table(opts["table"])
     if opts.get("minimal"):
+        if opts["graph"] is not None or opts["degrees"] is not None or opts["permissive"]:
+            raise DomainError("--minimal takes no --graph, --degrees or --permissive")
         graph, degrees, amap = minimal_representation(table)
         arrows = full_transformation_arrows(degrees, graph)
     else:
@@ -285,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer-types", help="type structures of a table")
     p.add_argument("table")
     p.add_argument("--objects", type=int)
-    p.add_argument("--minimal", action="store_true")
     p.add_argument("--count-only", action="store_true")
 
     p = sub.add_parser("morphisms", help="morphisms between two tables")
@@ -318,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--graph")
     p.add_argument("--degrees")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true")
-    mode.add_argument("--permissive", action="store_true")
+    p.add_argument("--permissive", action="store_true")
 
     return parser
 
@@ -333,11 +327,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    options = vars(args)
-    config = RunConfig(options.pop("command"), options)
+    options = vars(_parser().parse_args(argv))
     try:
-        return _HANDLERS[config.command](config.options)
+        return _HANDLERS[options.pop("command")](options)
     except json.JSONDecodeError as exc:
         print(
             f"input error: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -345,10 +337,9 @@ def run(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (DomainError, ConfigurationError, StaleDatabaseError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        DomainError, ConfigurationError, StaleDatabaseError, KeyError, OSError
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -101,6 +101,15 @@ def test_one_more_arrow_is_complete():
         assert (candidate in returned) == arcs_transitively_closed(extended)
 
 
+def test_one_more_arrow_refuses_arcs_off_its_objects():
+    with pytest.raises(DomainError):
+        one_more_arrow({(0, 2)}, 2)
+    with pytest.raises(DomainError):
+        one_more_arrow({(0, 2)}, 3, added_object=True)  # object 2 is the fresh one
+    with pytest.raises(DomainError):
+        one_more_arrow({(-1, 0)}, 2)
+
+
 def test_digraph_isomorphisms_loop_relabeling():
     assert list(digraph_isomorphisms([(0, 0)], [(9, 9)])) == [{0: 9}]
 
@@ -243,10 +252,33 @@ def test_one_pass_closure_matches_breadth_first_closure():
     enumerate_by_closure(database, 5)
     checked = 0
     for graph in database.classes():
-        for arc, closed in _closed_extensions(graph, graph.m + 2):
+        m = graph.m
+        for arc, closed, p in _closed_extensions(graph.arcs, m, m + 2):
             assert closed == _closure_arcs(graph.arcs | {arc}), (graph, arc)
+            d, c = arc
+            assert p == max(m, d + 1, c + 1), (graph, arc)
             checked += 1
     assert checked > 10000
+
+
+def test_one_more_arrow_matches_closure_filtered_candidates():
+    # Reference: the candidate orders spelled out, each kept when the
+    # extended arc set passes the closure test.
+    database = ClassDatabase()
+    enumerate_by_closure(database, 5)
+    classes = database.classes()
+    assert len(classes) == 319
+    for graph in classes:
+        arcs, m = graph.arcs, graph.m
+        row_major = [(d, c) for d in range(m) for c in range(m)]
+        fresh = [arc for i in range(m) for arc in ((i, m), (m, i))] + [(m, m)]
+        for added, candidates in ((False, row_major), (True, fresh)):
+            expected = [
+                arc
+                for arc in candidates
+                if arc not in arcs and is_transitively_closed(arcs | {arc})
+            ]
+            assert one_more_arrow(arcs, m + added, added_object=added) == expected
 
 
 def test_canonical_form_agrees_with_isomorphism_search():

@@ -42,7 +42,7 @@ def test_check_reports_failing_triple(misplaced_file, capsys):
 
 
 def test_infer_types_minimal(ff_file, capsys):
-    assert run(["infer-types", ff_file, "--minimal"]) == 0
+    assert run(["infer-types", ff_file]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert [json.loads(line) for line in out] == [
         {"m": 1, "doms": [0, 0, 0], "cods": [0, 0, 0]}
@@ -257,6 +257,22 @@ def test_arrowtypes_incremental_refuses_nine_arrows_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--max-arrows", "2", "--max-objects", "0"],
+        ["--max-arrows", "0"],
+        ["--max-arrows", "-1"],
+        ["--max-arrows", "2", "--max-objects", "-3"],
+    ],
+)
+def test_arrowtypes_bounds_below_one_exit_two(bounds, capsys):
+    assert run(["arrowtypes"] + bounds) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "arc and object counts must be positive" in captured.err
+
+
 def test_arrowtypes_db_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SGPOIDKIT_DB", str(tmp_path / "envdb"))
     assert run(["arrowtypes", "--max-arrows", "2"]) == 0
@@ -302,15 +318,27 @@ def test_represent_minimal_golden_output(tmp_path, capsys):
     assert capsys.readouterr().out == NULL3_MINIMAL
 
 
-def test_represent_strict_and_permissive_exclude_each_other(tmp_path, capsys):
+def test_represent_strict_is_a_usage_error(tmp_path, capsys):
+    # Strict embedding is the default, so there is no --strict flag.
     table = _write(tmp_path / "z.json", {"n": 1, "entries": [[0]]})
     graph = _write(tmp_path / "loop.json", {"m": 1, "arcs": [[0, 0]]})
     argv = ["represent", table, "--graph", graph, "--degrees", "1"]
     with pytest.raises(SystemExit) as excinfo:
-        run(argv + ["--strict", "--permissive"])
+        run(argv + ["--strict"])
     assert excinfo.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
     assert run(argv + ["--permissive"]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra", [["--permissive"], ["--graph", "g.json"], ["--degrees", "2"]]
+)
+def test_represent_minimal_refuses_explicit_target_flags(extra, tmp_path, capsys):
+    table = _write(tmp_path / "z.json", {"n": 1, "entries": [[0]]})
+    assert run(["represent", table, "--minimal"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--minimal takes no" in captured.err
 
 
 def test_represent_oversized_target_exits_three(tmp_path, capsys):
@@ -330,7 +358,7 @@ def test_represent_explicit_target(tmp_path, six_arrow, capsys):
         tmp_path / "graph.json", {"m": 2, "arcs": [[0, 0], [0, 1], [1, 1]]}
     )
     assert run(
-        ["represent", table, "--graph", graph, "--degrees", "2,2", "--strict"]
+        ["represent", table, "--graph", graph, "--degrees", "2,2"]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["arrows"]) == 6
