@@ -36,8 +36,9 @@ from .tables import NC, CompositionTable
 from .typestructure import TypeStructure
 
 # Cost guards: scan nodes of one brute-force cell (row 7's largest cell
-# takes 0.15 million, about 2 s), search steps when canonicalizing,
-# transformation degree for functional digraphs.
+# takes 0.15 million, about 2 s), arcs read by one canonical-form search
+# (10 million take about 3 s), transformation degree for functional
+# digraphs.
 BRUTE_FORCE_LIMIT = 5 * 10**5
 CANONICAL_LIMIT = 10**7
 FUNCTIONAL_DEGREE_LIMIT = 5
@@ -186,6 +187,24 @@ def _closed_extensions(arcs: frozenset, m: int, max_objects: int) -> Iterator[tu
         yield (d, c), arcs.union([(w, z) for w in sources[d] for z in targets[c]]), p
 
 
+def _extension_orbits(arcs: frozenset, m: int, max_objects: int) -> Iterator[tuple]:
+    """The first of the :func:`_closed_extensions` in each orbit of the
+    permutations of twin objects (see :func:`_twin_classes`).  Such a
+    permutation is an automorphism of the arcs, and closure commutes with
+    relabeling, so two arcs in one orbit give isomorphic extensions with
+    the same arc and object counts.  An arc's orbit is fixed by the twin
+    classes of its ends and by whether it is a loop; the fresh objects m and
+    m + 1 are classes of their own."""
+    least = _twin_classes(list(arcs), m) + [m, m + 1]
+    seen = set()
+    for extension in _closed_extensions(arcs, m, max_objects):
+        d, c = extension[0]
+        key = (least[d], least[c], d == c)
+        if key not in seen:
+            seen.add(key)
+            yield extension
+
+
 def one_more_arrow(arcs, m: int, added_object: bool = False) -> list:
     """Arcs addable to a transitively closed arc set on objects 0..m-1 such
     that the result is still transitively closed.
@@ -312,7 +331,8 @@ def canonical_form(G) -> ArrowTypeGraph:
     best: list = []  # output, labels and path of the least complete output
     automorphisms: list = []
     twins: list = []
-    steps = 0
+    nodes = 0
+    reads = 0  # arcs scanned by the search nodes, the work the limit bounds
     resume = n + 1  # returned when no level is to be jumped back to
 
     def twin_key(arc) -> tuple:
@@ -352,11 +372,13 @@ def canonical_form(G) -> ArrowTypeGraph:
         # the level's frame and returns None, or returns the level to
         # resume at when the level ends at once (resume for its parent's
         # own loop).
-        nonlocal steps
-        steps += 1
-        if steps > limit:
+        nonlocal nodes, reads
+        nodes += 1
+        reads += len(remaining)
+        if reads > limit:
             raise ResourceLimitError(
-                f"canonical form search exceeded {limit} steps"
+                f"canonical form search of {n} arcs exceeded {limit} arc reads "
+                f"({reads} reads in {nodes} search nodes)"
             )
         if depth == n:
             if not equal:
@@ -760,6 +782,12 @@ def enumerate_incremental(
     reachable this way, so targets past INCREMENTAL_ARROW_LIMIT are
     refused; below that threshold the method is exhaustive, which the
     cross-method tests confirm through row 7.
+
+    Each stored class is extended by one arc per orbit of its twin
+    permutations (:func:`_extension_orbits`).  An automorphism sigma of the
+    class sends the extension by arc e onto the extension by sigma(e), so
+    the other arcs of an orbit give only isomorphic copies of a child
+    already offered, with the same arc and object counts.
     """
     _check_incremental_target(target_arrows)
     if max_objects is None:
@@ -772,7 +800,7 @@ def enumerate_incremental(
         )
     covered = database.coverage(target_arrows)
     for graph in database.classes(n_arcs=target_arrows - 1):
-        for _, closure, p in _closed_extensions(graph.arcs, graph.m, max_objects):
+        for _, closure, p in _extension_orbits(graph.arcs, graph.m, max_objects):
             if covered < p <= max_objects and len(closure) == target_arrows:
                 database.insert(ArrowTypeGraph(p, closure))
     database.mark_covered(target_arrows, max_objects)
@@ -796,6 +824,14 @@ def enumerate_by_closure(
     no class beyond the bound is stored.  A closure the database already
     covers is not inserted: it is stored, and so it was in the frontier
     from the start.
+
+    Each class is extended by one arc per orbit of its twin permutations
+    (:func:`_extension_orbits`).  Closure commutes with relabeling, so an
+    automorphism sigma of the class sends the closed extension by arc e
+    onto the closed extension by sigma(e): the other arcs of an orbit give
+    isomorphic children with the same arc and object counts, which the
+    database would find stored already.  The database and the frontier
+    order are therefore unchanged.
     """
     if max_objects is None:
         max_objects = 2 * max_arrows
@@ -806,7 +842,7 @@ def enumerate_by_closure(
         graph = frontier.popleft()
         if len(graph.arcs) >= max_arrows or graph.m > max_objects:
             continue
-        for _, closed, p in _closed_extensions(graph.arcs, graph.m, max_objects):
+        for _, closed, p in _extension_orbits(graph.arcs, graph.m, max_objects):
             k = len(closed)
             if k <= max_arrows and p > cover[k] and database.insert(closed):
                 frontier.append(ArrowTypeGraph(p, closed))

@@ -205,9 +205,8 @@ def _cmd_arrowtypes(opts: dict) -> int:
 
 def _cmd_generate(opts: dict) -> int:
     data = _load_json(opts["generators"])
-    degrees = tuple(data["degrees"])
     gens = [TransformationArrow.from_json(g) for g in data["generators"]]
-    sgpoid = generate(gens, degrees)
+    sgpoid = generate(gens, data["degrees"])
     print(
         json.dumps(
             {
@@ -232,7 +231,10 @@ def _cmd_represent(opts: dict) -> int:
         if not opts.get("graph") or not opts.get("degrees"):
             raise DomainError("represent needs --minimal or --graph with --degrees")
         graph = _load_graph(opts["graph"])
-        degrees = tuple(int(d) for d in opts["degrees"].split(","))
+        try:
+            degrees = tuple(int(d) for d in opts["degrees"].split(","))
+        except ValueError:
+            raise DomainError("--degrees takes comma-separated integers") from None
         target = full_transformation_sgpoid(degrees, graph)
         strict = not opts.get("permissive", False)
         amap = next(embed(table, target, strict=strict), None)

@@ -70,6 +70,19 @@ def validate_arrow(arrow: TransformationArrow, degrees: Sequence[int]) -> None:
             raise DomainError("map target outside the codomain state set")
 
 
+def _checked_degrees(degrees) -> tuple:
+    """The degrees as a tuple, each an int (not a bool) of at least 1;
+    anything else raises :class:`DomainError`."""
+    try:
+        degrees = tuple(degrees)
+    except TypeError:
+        raise DomainError("degrees must be a list of integers") from None
+    for d in degrees:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise DomainError(f"degree {d!r} is not an integer of at least 1")
+    return degrees
+
+
 def compose_arrows(
     a: TransformationArrow, b: TransformationArrow
 ) -> Union[TransformationArrow, _NotComposable]:
@@ -122,7 +135,7 @@ def generate(
     with the matching generators until nothing new appears.  Arrow equality
     is equality of the (dom, cod, map) triple.
     """
-    degrees = tuple(degrees)
+    degrees = _checked_degrees(degrees)
     gens = sorted(set(generators), key=TransformationArrow.sort_key)
     for g in gens:
         validate_arrow(g, degrees)
@@ -164,9 +177,7 @@ def full_transformation_arrows(
 ) -> tuple:
     """The arrows of :func:`full_transformation_sgpoid`, in the same order,
     without building the composition table; refused in the same cases."""
-    degrees = tuple(degrees)
-    if any(d < 1 for d in degrees):
-        raise DomainError("every type needs at least one state")
+    degrees = _checked_degrees(degrees)
     if graph.m != len(degrees):
         raise DomainError("degree list length does not match the object count")
     if not is_transitively_closed(graph):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,12 @@ from sgpoidkit import (
     transitive_closure,
     type_quotient_map,
 )
-from sgpoidkit.arrowtype import _closed_extensions, _closure_arcs, seed
+from sgpoidkit.arrowtype import (
+    _closed_extensions,
+    _closure_arcs,
+    _extension_orbits,
+    seed,
+)
 
 from .oracles import (
     arcs_transitively_closed,
@@ -223,10 +229,11 @@ STAR6_PLUS_ARC = tuple((0, i) for i in range(1, 7)) + ((7, 8),)
 )
 def test_canonical_form_symmetric_worst_cases(canonical, monkeypatch):
     # Each was factorial for a search without automorphism pruning (10
-    # loops took about 30 s); now each needs well under a thousand steps.
+    # loops took about 30 s); now each reads at most 2,000 arcs (K7 reads
+    # its 49 arcs down one path of levels, 1,225 reads).
     import sgpoidkit.arrowtype as arrowtype
 
-    monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", 1000)
+    monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", 2000)
     for seed in range(3):
         assert canonical_form(_scrambled(canonical, seed)).sorted_arcs == canonical
 
@@ -247,6 +254,19 @@ def test_canonical_form_step_guard(monkeypatch):
         canonical_form(STAR6_PLUS_ARC)
 
 
+def test_canonical_form_guard_bounds_arc_reads_not_nodes():
+    # Every arc of a path ties at the first level, and each branch follows
+    # the best output for many levels: about n**3 arc reads in n**2 nodes,
+    # so only a guard on the reads stops it within seconds.
+    path = [(i, i + 1) for i in range(600)]
+    random.Random(0).shuffle(path)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="arc reads") as excinfo:
+        canonical_form(path)
+    assert time.perf_counter() - start < 10
+    assert "search nodes" in str(excinfo.value)
+
+
 def test_one_pass_closure_matches_breadth_first_closure():
     database = ClassDatabase()
     enumerate_by_closure(database, 5)
@@ -259,6 +279,35 @@ def test_one_pass_closure_matches_breadth_first_closure():
             assert p == max(m, d + 1, c + 1), (graph, arc)
             checked += 1
     assert checked > 10000
+
+
+def test_extension_orbits_offer_every_child_class():
+    # Per (arc count, object count), the children of one arc per twin orbit
+    # have the same classes as the children of every arc.
+    database = ClassDatabase()
+    enumerate_by_closure(database, 5)
+    classes = database.classes()
+    assert len(classes) == 319
+    forms: dict = {}
+
+    def children(extensions):
+        found: dict = {}
+        for _, closed, p in extensions:
+            if closed not in forms:
+                forms[closed] = canonical_form(closed).sorted_arcs
+            found.setdefault((len(closed), p), set()).add(forms[closed])
+        return found
+
+    skipped = 0
+    for graph in classes:
+        arcs, m = graph.arcs, graph.m
+        for bound in (m, m + 1, m + 2):
+            orbits = list(_extension_orbits(arcs, m, bound))
+            every = list(_closed_extensions(arcs, m, bound))
+            assert [e for e in every if e in orbits] == orbits  # same order
+            assert children(orbits) == children(every), (graph, bound)
+            skipped += len(every) - len(orbits)
+    assert skipped > 1000
 
 
 def test_one_more_arrow_matches_closure_filtered_candidates():

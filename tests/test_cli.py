@@ -229,6 +229,38 @@ def test_arrowtypes_covered_rerun_only_loads(tmp_path, capsys, monkeypatch):
     assert after == before  # not rewritten
 
 
+@pytest.mark.parametrize(
+    "argv, searches",
+    [
+        (["--max-arrows", "7"], 20488),
+        (["--method", "incremental", "--max-arrows", "6"], 4544),
+    ],
+    ids=["closure-7", "incremental-6"],
+)
+def test_arrowtypes_canonical_form_searches_are_pinned(
+    argv, searches, tmp_path, capsys, monkeypatch
+):
+    # One search per child offered, and each class is extended by one arc
+    # per orbit of its twin permutations: a count above these means the
+    # census canonicalises isomorphic children again.
+    import sgpoidkit.arrowtype as arrowtype
+
+    calls = []
+    original = arrowtype.canonical_form
+
+    def counting(graph):
+        calls.append(1)
+        return original(graph)
+
+    monkeypatch.setattr(arrowtype, "canonical_form", counting)
+    db_dir = tmp_path / "db"
+    db_dir.mkdir()
+    assert run(["arrowtypes", "--db", str(db_dir), "--emit-table", "json"] + argv) == 0
+    sums = json.loads(capsys.readouterr().out)["row_sums"]
+    assert sums == [2, 7, 21, 70, 218, 721, 2360][: len(sums)]
+    assert len(calls) == searches
+
+
 def test_arrowtypes_extension_inserts_only_the_new_row(tmp_path, capsys, monkeypatch):
     import sgpoidkit.arrowtype as arrowtype
 
@@ -292,6 +324,17 @@ def test_generate_vessels(tmp_path, vessels, capsys):
     assert payload["table"]["n"] == 16
 
 
+@pytest.mark.parametrize(
+    "degrees", ["ab", [0], [-1], [2.5], [True]], ids=repr
+)
+def test_generate_refuses_invalid_degrees(degrees, tmp_path, capsys):
+    path = _write(tmp_path / "gens.json", {"degrees": degrees, "generators": []})
+    assert run(["generate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not an integer of at least 1" in captured.err
+
+
 def test_represent_minimal(tmp_path, z2, capsys):
     path = _write(tmp_path / "z2.json", z2.to_json())
     assert run(["represent", path, "--minimal"]) == 0
@@ -350,6 +393,16 @@ def test_represent_oversized_target_exits_three(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "46656 arrows" in err and "2176782336 table cells" in err
+
+
+@pytest.mark.parametrize("degrees", ["2,x", ","])
+def test_represent_refuses_non_integer_degrees(degrees, tmp_path, capsys):
+    table = _write(tmp_path / "z.json", {"n": 1, "entries": [[0]]})
+    graph = _write(tmp_path / "loop.json", {"m": 1, "arcs": [[0, 0]]})
+    assert run(["represent", table, "--graph", graph, "--degrees", degrees]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--degrees takes comma-separated integers" in captured.err
 
 
 def test_represent_explicit_target(tmp_path, six_arrow, capsys):
