@@ -88,10 +88,25 @@ class ArrowTypeGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "ArrowTypeGraph":
-        graph = cls.from_arcs(tuple(map(tuple, data["arcs"])))
+        graph = cls.from_arcs(_arcs_from_json(data["arcs"]))
         if "m" in data and data["m"] != graph.m:
             raise DomainError("declared object count does not match the arcs")
         return graph
+
+
+def _arcs_from_json(arcs) -> tuple:
+    """Arcs read from JSON, a list of [dom, cod] integer pairs, as tuples."""
+    if type(arcs) is not list:
+        raise DomainError("arcs must be a list of [dom, cod] pairs")
+    pairs = []
+    for arc in arcs:
+        if type(arc) is list and len(arc) == 2:
+            d, c = arc
+            if type(d) is int and type(c) is int:
+                pairs.append((d, c))
+                continue
+        raise DomainError(f"arc {arc!r} is not a pair of integers")
+    return tuple(pairs)
 
 
 def _arcset(graph) -> frozenset:
@@ -640,7 +655,7 @@ class ClassDatabase:
             payload = json.loads(bucket_file.read_text())
             for arcs in payload["classes"]:
                 if arcs:
-                    database.insert(ArrowTypeGraph.from_arcs(tuple(map(tuple, arcs))))
+                    database.insert(ArrowTypeGraph.from_arcs(_arcs_from_json(arcs)))
                 else:
                     database.insert(ArrowTypeGraph(0, frozenset()))
         meta_file = directory / "meta.json"
@@ -958,19 +973,10 @@ def type_quotient_map(
     """Graph, its composition table, and the arrow map sending each arrow
     of ``table`` to its arc.  The map is a strict homomorphism whenever the
     type structure is valid for the table."""
-    if len(ts.doms) != table.n:
-        raise DomainError("type structure size does not match table")
-    used = sorted(
-        {ts.doms[a] for a in range(table.n)} | {ts.cods[a] for a in range(table.n)}
-    )
-    relabel = {obj: i for i, obj in enumerate(used)}
-    arcs = {
-        (relabel[ts.doms[a]], relabel[ts.cods[a]]) for a in range(table.n)
-    }
-    graph = ArrowTypeGraph(len(used), frozenset(arcs))
-    graph_table = graph_composition_table(graph)
+    graph = arrow_type_of(table, ts)
+    # arrow_type_of numbers the used objects in sorted order; so does this.
+    relabel = {obj: i for i, obj in enumerate(sorted({*ts.doms, *ts.cods}))}
     index = {arc: i for i, arc in enumerate(graph.sorted_arcs)}
-    images = tuple(
-        index[(relabel[ts.doms[a]], relabel[ts.cods[a]])] for a in range(table.n)
-    )
-    return graph, graph_table, ArrowMap(table.n, len(graph.arcs), images)
+    images = tuple(index[(relabel[d], relabel[c])] for d, c in zip(ts.doms, ts.cods))
+    amap = ArrowMap(table.n, len(graph.arcs), images)
+    return graph, graph_composition_table(graph), amap

@@ -39,19 +39,23 @@ from .genrep import (
 )
 from .morphisms import find_morphisms
 from .tables import (
-    NC,
     UNSET,
     CompositionTable,
+    cell_from_json,
     enumerate_associative_tables,
     first_nonassociative_triple,
     is_associative,
+    rows_from_json,
 )
 from .typestructure import infer_types, minimal_objects
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise DomainError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _load_table(path: str) -> CompositionTable:
@@ -81,7 +85,7 @@ def _cmd_check(opts: dict) -> int:
 
 def _cmd_infer_types(opts: dict) -> int:
     table = _load_table(opts["table"])
-    if opts.get("objects") is not None:
+    if opts["objects"] is not None:
         m = opts["objects"]
     else:
         m = minimal_objects(table)
@@ -89,7 +93,7 @@ def _cmd_infer_types(opts: dict) -> int:
             print("no consistent type structure", file=sys.stderr)
             return 1
     solutions = list(infer_types(table, m))
-    if opts.get("count_only"):
+    if opts["count_only"]:
         print(len(solutions))
     else:
         for ts in solutions:
@@ -106,43 +110,31 @@ def _cmd_morphisms(opts: dict) -> int:
         find_morphisms(
             source,
             target,
-            bijective=opts.get("bijective", False),
-            strict=opts.get("strict", False),
+            bijective=opts["bijective"],
+            strict=opts["strict"],
         )
     )
-    if opts.get("count_only"):
+    if opts["count_only"]:
         print(len(maps))
     else:
         print(json.dumps(sorted(list(amap.images) for amap in maps)))
     return 0 if maps else 1
 
 
-def _parse_partial(data: dict):
-    rows = []
-    for row in data["entries"]:
-        out = []
-        for value in row:
-            if value is None:
-                out.append(NC)
-            elif value == "?":
-                out.append(UNSET)
-            elif value == -1:
-                raise DomainError("-1 is not a valid entry; use null or \"?\"")
-            else:
-                out.append(value)
-        rows.append(tuple(out))
-    return tuple(rows)
+def _partial_cell(value):
+    # A partial table's cell: "?" is left to the search, the rest as in a table.
+    return UNSET if value == "?" else cell_from_json(value)
 
 
 def _cmd_enumerate_tables(opts: dict) -> int:
     partial = None
-    if opts.get("partial"):
-        partial = _parse_partial(_load_json(opts["partial"]))
+    if opts["partial"]:
+        partial = rows_from_json(_load_json(opts["partial"]), _partial_cell)
     stream = enumerate_associative_tables(
-        opts["size"], allow_nc=opts.get("allow_nc", False), partial=partial
+        opts["size"], allow_nc=opts["allow_nc"], partial=partial
     )
     count = 0
-    if opts.get("count_only"):
+    if opts["count_only"]:
         for _ in stream:
             count += 1
         print(count)
@@ -155,51 +147,34 @@ def _cmd_enumerate_tables(opts: dict) -> int:
 
 def _render_counts(counts, fmt: str) -> str:
     row_sums = [sum(row) for row in counts]
+    if fmt == "json":
+        return json.dumps({"counts": counts, "row_sums": row_sums}, sort_keys=True)
     max_objects = len(counts[0]) if counts else 0
-    if fmt == "md":
-        lines = []
-        header = ["arrows \\ objects"] + [str(m) for m in range(1, max_objects + 1)]
-        header.append("sum")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for n, row in enumerate(counts, start=1):
-            cells = [str(v) if v else "" for v in row]
-            lines.append(
-                "| " + " | ".join([str(n)] + cells + [str(row_sums[n - 1])]) + " |"
-            )
-        return "\n".join(lines)
+    corner = "arrows \\ objects" if fmt == "md" else "arrows"
+    rows = [[corner] + [str(m) for m in range(1, max_objects + 1)] + ["sum"]]
+    for n, (row, row_sum) in enumerate(zip(counts, row_sums), start=1):
+        rows.append([str(n)] + [str(v) if v else "" for v in row] + [str(row_sum)])
     if fmt == "csv":
-        lines = [
-            ",".join(
-                ["arrows"]
-                + [str(m) for m in range(1, max_objects + 1)]
-                + ["sum"]
-            )
-        ]
-        for n, row in enumerate(counts, start=1):
-            cells = [str(v) if v else "" for v in row]
-            lines.append(",".join([str(n)] + cells + [str(row_sums[n - 1])]))
-        return "\n".join(lines)
-    return json.dumps(
-        {"counts": counts, "row_sums": row_sums}, sort_keys=True
-    )
+        return "\n".join(",".join(row) for row in rows)
+    lines = ["| " + " | ".join(row) + " |" for row in rows]
+    lines.insert(1, "|" + "---|" * len(rows[0]))
+    return "\n".join(lines)
 
 
 def _cmd_arrowtypes(opts: dict) -> int:
     max_arrows = opts["max_arrows"]
-    max_objects = opts.get("max_objects")
+    max_objects = opts["max_objects"]
     if max_objects is None:
         max_objects = 2 * max_arrows
-    db_dir = opts.get("db") or os.environ.get("SGPOIDKIT_DB")
+    db_dir = opts["db"] or os.environ.get("SGPOIDKIT_DB")
     if db_dir and os.path.isdir(db_dir) and os.listdir(db_dir):
         database = ClassDatabase.load(db_dir)
     else:
         database = ClassDatabase()
-    method = opts.get("method", "closure")
-    if extend_census(database, method, max_arrows, max_objects) and db_dir:
+    if extend_census(database, opts["method"], max_arrows, max_objects) and db_dir:
         database.save(db_dir)
     counts = count_table(database, max_arrows, max_objects)
-    print(_render_counts(counts, opts.get("emit_table", "md")))
+    print(_render_counts(counts, opts["emit_table"]))
     return 0
 
 
@@ -222,13 +197,13 @@ def _cmd_generate(opts: dict) -> int:
 
 def _cmd_represent(opts: dict) -> int:
     table = _load_table(opts["table"])
-    if opts.get("minimal"):
+    if opts["minimal"]:
         if opts["graph"] is not None or opts["degrees"] is not None or opts["permissive"]:
             raise DomainError("--minimal takes no --graph, --degrees or --permissive")
         graph, degrees, amap = minimal_representation(table)
         arrows = full_transformation_arrows(degrees, graph)
     else:
-        if not opts.get("graph") or not opts.get("degrees"):
+        if not opts["graph"] or not opts["degrees"]:
             raise DomainError("represent needs --minimal or --graph with --degrees")
         graph = _load_graph(opts["graph"])
         try:
@@ -236,8 +211,7 @@ def _cmd_represent(opts: dict) -> int:
         except ValueError:
             raise DomainError("--degrees takes comma-separated integers") from None
         target = full_transformation_sgpoid(degrees, graph)
-        strict = not opts.get("permissive", False)
-        amap = next(embed(table, target, strict=strict), None)
+        amap = next(embed(table, target, strict=not opts["permissive"]), None)
         if amap is None:
             print("no embedding", file=sys.stderr)
             return 1

@@ -17,10 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arrowtype import (
     ArrowTypeGraph,
-    ClassDatabase,
     arrow_type_of,
     canonical_form,
-    enumerate_by_closure,
     is_transitively_closed,
 )
 from .errors import DomainError, ResourceLimitError
@@ -28,11 +26,9 @@ from .morphisms import ArrowMap, find_injective_morphisms
 from .tables import NC, CompositionTable, is_associative, _NotComposable
 from .typestructure import infer_types, minimal_objects
 
-# Cost guards: composition-table cells of a full transformation target (T_5,
-# 3125 arrows, has 9.8 M; T_6 would have 2.2 G), and objects of the closed
-# graphs tried by a widened representation search.
+# Cost guard: composition-table cells of a full transformation target (T_5,
+# 3125 arrows, has 9.8 M; T_6 would have 2.2 G).
 FULL_TABLE_CELL_LIMIT = 10**7
-CLOSED_GRAPH_OBJECT_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -57,6 +53,11 @@ class TransformationArrow:
 
     @classmethod
     def from_json(cls, data: dict) -> "TransformationArrow":
+        for key in ("dom", "cod"):
+            if type(data[key]) is not int:
+                raise DomainError(f"{key} {data[key]!r} is not an integer")
+        if not isinstance(data["map"], list):
+            raise DomainError("map must be a list of states")
         return cls(data["dom"], data["cod"], tuple(data["map"]))
 
 
@@ -287,43 +288,31 @@ def _degree_vectors(total: int, parts: int) -> Iterator[tuple]:
             yield (head,) + tail
 
 
-def _all_closed_graphs(m: int) -> list:
-    # Canonical closed graphs on exactly m objects, in sorted-arc order.
-    if m > CLOSED_GRAPH_OBJECT_LIMIT:
-        raise ResourceLimitError(
-            "widened target search takes the census of all closed graphs; "
-            f"limited to {CLOSED_GRAPH_OBJECT_LIMIT} objects"
-        )
-    database = enumerate_by_closure(ClassDatabase(), m * m, m)
-    return sorted(database.classes(m=m), key=lambda g: g.sorted_arcs)
-
-
-def _candidate_graphs(table: CompositionTable, m: int, widen: bool) -> list:
-    if widen:
-        graphs = _all_closed_graphs(m)
-    else:
-        reps = {}
-        for ts in infer_types(table, m, symmetry_break=True):
-            rep = canonical_form(arrow_type_of(table, ts))
-            if rep.m == m:
-                reps[rep.sorted_arcs] = rep
-        graphs = [reps[key] for key in sorted(reps)]
-    return sorted(graphs, key=lambda g: (len(g.arcs), g.sorted_arcs))
+def _candidate_graphs(table: CompositionTable, m: int) -> list:
+    # Canonical quotient graphs on exactly m objects of the table's typings.
+    reps = {}
+    for ts in infer_types(table, m, symmetry_break=True):
+        rep = canonical_form(arrow_type_of(table, ts))
+        if rep.m == m:
+            reps[rep.sorted_arcs] = rep
+    return list(reps.values())
 
 
 def minimal_representation(
-    abstract: CompositionTable,
-    widen: bool = False,
-    max_total: Optional[int] = None,
+    abstract: CompositionTable, max_total: Optional[int] = None
 ) -> tuple:
     """Smallest-state strict transformation representation.
 
     Targets are tried by ascending total state count; within a total, by
-    graph arc count, then lexicographic degree vector.  Candidate graphs
-    come from the table's own type structures (every typings' quotient
-    graph), from the minimal object count upward; ``widen`` switches to all
-    closed graphs on the same object counts, which never lowers the
-    minimum.  Targets with fewer arrows than the table are skipped unbuilt.
+    graph arc count, object count and sorted arcs, then lexicographic
+    degree vector.  Candidate graphs are the canonical quotient graphs of
+    the table's own typings, from the minimal object count upward.  No
+    other closed graph can lower the minimum: a strict injective embedding
+    into a target types the table by the ends of its image arrows, and
+    that typing is valid.  Its quotient graph is closed, the table embeds
+    in the target's sub-semigroupoid over that quotient, which has no more
+    states, and the quotient, canonicalised, is among the candidates.
+    Targets with fewer arrows than the table are skipped unbuilt.
     Termination: the regular action on arrows (one extra sink state per
     type) realizes the table with n + m states, so the search is capped
     there unless ``max_total`` narrows it.
@@ -335,15 +324,11 @@ def minimal_representation(
         raise DomainError("table has no consistent type structure")
     n = abstract.n
     cap = max_total if max_total is not None else n + m_least
-    graphs_by_m: dict = {}
-    m_limit = max(2 * n, 1)
+    candidates: list = []
     for total in range(1, cap + 1):
-        candidates = []
-        for m in range(m_least, min(total, m_limit) + 1):
-            if m not in graphs_by_m:
-                graphs_by_m[m] = _candidate_graphs(abstract, m, widen)
-            candidates.extend(graphs_by_m[m])
-        candidates.sort(key=lambda g: (len(g.arcs), g.m, g.sorted_arcs))
+        if m_least <= total <= max(2 * n, 1):
+            candidates.extend(_candidate_graphs(abstract, total))
+            candidates.sort(key=lambda g: (len(g.arcs), g.m, g.sorted_arcs))
         for graph in candidates:
             for degrees in _degree_vectors(total, graph.m):
                 # Fewer arrows than the table admits no injective map.

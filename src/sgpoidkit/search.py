@@ -37,9 +37,10 @@ them, newest first, before trying the next value.
 
 The solver is deterministic: variables are tried in declaration order,
 values in domain order, so solutions stream in lexicographic order with
-respect to those orders.  Forward checking prunes the domain of the single
+respect to those orders.  Forward checking is always on: after each
+binding that no constraint rejects, it prunes the domain of the single
 unbound variable a constraint watches, and the domain of the variable a
-constraint has just started waiting on; it never changes which solutions
+constraint has just started waiting on.  It never changes which solutions
 exist.
 """
 
@@ -134,12 +135,8 @@ def _bad_wait(var: Any, bound: Mapping) -> ConfigurationError:
     return ConfigurationError(f"constraint waits on unknown variable {var!r}")
 
 
-def solve_all(problem: Problem, propagate: bool = True) -> Iterator[Assignment]:
-    """Yield every solution exactly once, in deterministic order.
-
-    ``propagate`` toggles forward checking; it affects speed only, never the
-    set of solutions.
-    """
+def solve_all(problem: Problem) -> Iterator[Assignment]:
+    """Yield every solution exactly once, in deterministic order."""
     _validate(problem)
     order = list(problem.variables)
     # watching[v]: constraints to test when v is bound, its static watchers
@@ -204,7 +201,7 @@ def solve_all(problem: Problem, propagate: bool = True) -> Iterator[Assignment]:
                 target.append(constraint)
                 waits.append((constraint.test, r))
             trimmed: list = []
-            if ok and propagate:
+            if ok:
                 for constraint in constraints:
                     watches = constraint.watches
                     if len(watches) < 2:  # none unbound, or a wait that moved in
@@ -229,6 +226,6 @@ def solve_all(problem: Problem, propagate: bool = True) -> Iterator[Assignment]:
     yield from extend(0)
 
 
-def solve_first(problem: Problem, propagate: bool = True) -> Optional[Assignment]:
+def solve_first(problem: Problem) -> Optional[Assignment]:
     """First solution of :func:`solve_all`, or None."""
-    return next(solve_all(problem, propagate), None)
+    return next(solve_all(problem), None)

@@ -82,6 +82,25 @@ def _check_entry(value, n: int) -> None:
         raise DomainError(f"entry {value!r} is not an arrow index below {n}")
 
 
+def cell_from_json(value):
+    """One cell of a table's JSON form: null is NC, -1 is refused, and any
+    other value is kept for the table to check."""
+    if value is None:
+        return NC
+    if value == -1:
+        raise DomainError("-1 is not a valid entry; use null for non-composable")
+    return value
+
+
+def rows_from_json(data: dict, cell=cell_from_json) -> tuple:
+    """The ``entries`` of a table's JSON form, a list of lists, as a tuple
+    of rows with each value read by ``cell``."""
+    entries = data["entries"]
+    if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
+        raise DomainError("entries must be a list of lists")
+    return tuple(tuple(map(cell, row)) for row in entries)
+
+
 @dataclass(frozen=True)
 class CompositionTable:
     """Square array of composites over arrow indices, with NC cells."""
@@ -113,23 +132,10 @@ class CompositionTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CompositionTable":
-        entries = data["entries"]
-        if "n" in data and data["n"] != len(entries):
+        rows = rows_from_json(data)
+        if "n" in data and data["n"] != len(rows):
             raise DomainError("declared n does not match the number of rows")
-        rows = []
-        for row in entries:
-            out = []
-            for value in row:
-                if value is None:
-                    out.append(NC)
-                elif value == -1:
-                    raise DomainError(
-                        "-1 is not a valid entry; use null for non-composable"
-                    )
-                else:
-                    out.append(value)
-            rows.append(tuple(out))
-        return cls(tuple(rows))
+        return cls(rows)
 
     def to_json(self) -> dict:
         return {

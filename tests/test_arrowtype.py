@@ -388,6 +388,19 @@ def test_brute_force_matches_independent_oracle():
             assert ours == brute_force_graph_classes(n, m)
 
 
+def test_closed_graphs_by_object_count_match_oracle():
+    # A closed graph on m objects has at most m * m arcs, so this census
+    # holds every class on exactly m objects.
+    for m in (1, 2, 3):
+        expected = sorted(
+            set().union(*(brute_force_graph_classes(n, m) for n in range(1, m * m + 1)))
+        )
+        classes = enumerate_by_closure(ClassDatabase(), m * m, m).classes(m=m)
+        assert sorted(g.sorted_arcs for g in classes) == expected
+    # Unlabeled transitive relations on 4 points with no isolated point.
+    assert len(enumerate_by_closure(ClassDatabase(), 16, 4).classes(m=4)) == 203
+
+
 def test_brute_force_guard(monkeypatch):
     # The guard counts scan nodes.  (8, 16), refused when the guard counted
     # the comb(256, 8) arc subsets, builds only the 8 disjoint arcs now.

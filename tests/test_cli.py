@@ -112,6 +112,51 @@ def test_arrowtypes_csv_row_sums(capsys):
     assert sums == ["2", "7", "21", "70"]
 
 
+# Recorded before the md and csv tables were rendered from one list of rows.
+ARROWTYPES_4_MD = """\
+| arrows \\ objects | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | sum |
+|---|---|---|---|---|---|---|---|---|---|
+| 1 | 1 | 1 |  |  |  |  |  |  | 2 |
+| 2 |  | 3 | 3 | 1 |  |  |  |  | 7 |
+| 3 |  | 1 | 8 | 8 | 3 | 1 |  |  | 21 |
+| 4 |  | 1 | 8 | 23 | 23 | 11 | 3 | 1 | 70 |
+"""
+ARROWTYPES_4_CSV = """\
+arrows,1,2,3,4,5,6,7,8,sum
+1,1,1,,,,,,,2
+2,,3,3,1,,,,,7
+3,,1,8,8,3,1,,,21
+4,,1,8,23,23,11,3,1,70
+"""
+ARROWTYPES_3_2_MD = """\
+| arrows \\ objects | 1 | 2 | sum |
+|---|---|---|---|
+| 1 | 1 | 1 | 2 |
+| 2 |  | 3 | 3 |
+| 3 |  | 1 | 1 |
+"""
+ARROWTYPES_3_2_CSV = """\
+arrows,1,2,sum
+1,1,1,2
+2,,3,3
+3,,1,1
+"""
+
+
+@pytest.mark.parametrize(
+    "bounds, emit, expected",
+    [
+        (["--max-arrows", "4"], "md", ARROWTYPES_4_MD),
+        (["--max-arrows", "4"], "csv", ARROWTYPES_4_CSV),
+        (["--max-arrows", "3", "--max-objects", "2"], "md", ARROWTYPES_3_2_MD),
+        (["--max-arrows", "3", "--max-objects", "2"], "csv", ARROWTYPES_3_2_CSV),
+    ],
+)
+def test_arrowtypes_table_golden_output(bounds, emit, expected, capsys):
+    assert run(["arrowtypes", *bounds, "--emit-table", emit]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_arrowtypes_methods_agree(capsys):
     outputs = []
     for method in ("closure", "incremental", "brute"):
@@ -479,6 +524,50 @@ def test_minus_one_entry_exits_two(tmp_path, capsys):
     path = _write(tmp_path / "bad.json", {"n": 1, "entries": [[-1]]})
     assert run(["check", path]) == 2
     assert "-1" in capsys.readouterr().err
+    # A partial table reads its cells by the same rule.
+    assert run(["enumerate-tables", "--size", "1", "--partial", path]) == 2
+    assert "-1" in capsys.readouterr().err
+
+
+GRAPH_ARGV = ["represent", "t.json", "--graph", "g.json", "--degrees", "1"]
+
+
+@pytest.mark.parametrize(
+    "name, payload, argv",
+    [
+        ("g.json", {"arcs": [[0]]}, GRAPH_ARGV),
+        ("g.json", {"arcs": [[[1], [1]]]}, GRAPH_ARGV),
+        ("g.json", {"arcs": 5}, GRAPH_ARGV),
+        ("t.json", [1, 2], ["check", "t.json"]),
+        ("t.json", {"entries": [[0, 1], 5]}, ["check", "t.json"]),
+        (
+            "gens.json",
+            {"degrees": [2], "generators": [{"dom": "0", "cod": 0, "map": [1, 0]}]},
+            ["generate", "gens.json"],
+        ),
+        (
+            "gens.json",
+            {"degrees": [2], "generators": [{"dom": 0, "cod": 0, "map": 5}]},
+            ["generate", "gens.json"],
+        ),
+        (
+            "db/nodes01_arcs001.json",
+            {"node_count": 1, "arc_count": 1, "classes": [[[0]]]},
+            ["arrowtypes", "--max-arrows", "2", "--db", "db"],
+        ),
+    ],
+)
+def test_malformed_input_files_exit_two(
+    name, payload, argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "db").mkdir()
+    _write(tmp_path / "t.json", {"n": 1, "entries": [[0]]})
+    _write(tmp_path / name, payload)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
 
 
 def test_resource_guard_exits_three(tmp_path, capsys, monkeypatch):

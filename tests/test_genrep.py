@@ -5,6 +5,7 @@ import pytest
 from sgpoidkit import (
     NC,
     ArrowTypeGraph,
+    ClassDatabase,
     CompositionTable,
     DomainError,
     ResourceLimitError,
@@ -13,6 +14,7 @@ from sgpoidkit import (
     compose_arrows,
     derive_table,
     embed,
+    enumerate_by_closure,
     find_morphisms,
     full_transformation_arrows,
     full_transformation_sgpoid,
@@ -22,9 +24,10 @@ from sgpoidkit import (
     minimal_representation,
     validate_arrow,
 )
-from sgpoidkit.genrep import _all_closed_graphs, _degree_vectors
+from sgpoidkit.catalog import flip_flop, two_element_group, two_type_six_arrow
+from sgpoidkit.genrep import _degree_vectors
 
-from .oracles import brute_force_graph_classes, closure_by_pairs
+from .oracles import closure_by_pairs
 
 FULL_2 = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
 ONE_WAY = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 1)}))
@@ -148,22 +151,27 @@ def _composed_row(arrows, index, a):
     return tuple(row)
 
 
+def _closed_graphs(max_objects):
+    # Every closed graph on 1..max_objects objects, from the census.
+    m = max_objects
+    return [g for g in enumerate_by_closure(ClassDatabase(), m * m, m).classes() if g.m]
+
+
 def test_full_table_matches_derive_table_on_all_small_targets():
     # Every closed graph on up to 3 objects, every degree vector up to 5
     # states in total; T_5 (3125 arrows) is checked on every 31st row.
-    for m in (1, 2, 3):
-        for graph in _all_closed_graphs(m):
-            for total in range(m, 6):
-                for degrees in _degree_vectors(total, m):
-                    target = full_transformation_sgpoid(degrees, graph)
-                    arrows = target.arrows
-                    if len(arrows) < 1000:
-                        assert target.table == derive_table(arrows)
-                        continue
-                    index = {arrow: i for i, arrow in enumerate(arrows)}
-                    for i in range(0, len(arrows), 31):
-                        expected = _composed_row(arrows, index, arrows[i])
-                        assert target.table.entries[i] == expected
+    for graph in _closed_graphs(3):
+        for total in range(graph.m, 6):
+            for degrees in _degree_vectors(total, graph.m):
+                target = full_transformation_sgpoid(degrees, graph)
+                arrows = target.arrows
+                if len(arrows) < 1000:
+                    assert target.table == derive_table(arrows)
+                    continue
+                index = {arrow: i for i, arrow in enumerate(arrows)}
+                for i in range(0, len(arrows), 31):
+                    expected = _composed_row(arrows, index, arrows[i])
+                    assert target.table.entries[i] == expected
 
 
 @pytest.mark.parametrize(
@@ -194,18 +202,6 @@ def test_full_sgpoid_refuses_oversized_targets():
         full_transformation_sgpoid((6,), LOOP)
     with pytest.raises(ResourceLimitError, match="6250 arrows"):
         full_transformation_sgpoid((5, 5), ISOLATED)
-
-
-def test_all_closed_graphs_match_oracle():
-    for m in (1, 2, 3):
-        expected = sorted(
-            set().union(*(brute_force_graph_classes(n, m) for n in range(1, m * m + 1)))
-        )
-        assert [g.sorted_arcs for g in _all_closed_graphs(m)] == expected
-    # Counted by the subset scan this replaced.
-    assert len(_all_closed_graphs(4)) == 203
-    with pytest.raises(ResourceLimitError):
-        _all_closed_graphs(5)
 
 
 def test_derive_table_requires_closure():
@@ -308,10 +304,31 @@ def test_minimal_representation_six_arrow(six_arrow):
     assert amap.is_injective()
 
 
-def test_minimal_representation_widened_agrees(z2):
-    graph, degrees, _ = minimal_representation(z2, widen=True)
-    assert graph.arcs == {(0, 0)}
-    assert degrees == (2,)
+@pytest.mark.parametrize(
+    "table, total",
+    [
+        (two_element_group(), 2),
+        (flip_flop(), 2),
+        (two_type_six_arrow(), 4),
+        (CompositionTable(((NC,) * 3,) * 3), 4),
+    ],
+    ids=["z2", "flip-flop", "six-arrow", "empty-3"],
+)
+def test_no_other_closed_graph_lowers_the_minimal_total(table, total):
+    # The least total over every closed graph on up to 4 objects, with
+    # every degree vector, is the one reached from the table's own typings.
+    def least_total(graphs):
+        for t in itertools.count(1):
+            for graph in graphs:
+                for degrees in _degree_vectors(t, graph.m):  # none if m > t
+                    if sum(degrees[c] ** degrees[d] for d, c in graph.arcs) < table.n:
+                        continue
+                    target = full_transformation_sgpoid(degrees, graph)
+                    if next(embed(table, target, strict=True), None) is not None:
+                        return t
+
+    assert least_total(_closed_graphs(4)) == total
+    assert sum(minimal_representation(table)[1]) == total
 
 
 def test_minimal_representation_rejects_bad_tables(

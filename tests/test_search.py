@@ -3,7 +3,21 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgpoidkit import ConfigurationError, Problem, solve_all, solve_first
+from sgpoidkit import (
+    NC,
+    CompositionTable,
+    ConfigurationError,
+    Problem,
+    enumerate_associative_tables,
+    find_morphisms,
+    genrep,
+    infer_types,
+    minimal_representation,
+    search,
+    solve_all,
+    solve_first,
+)
+from sgpoidkit.catalog import two_type_six_arrow
 
 
 def test_empty_problem_has_one_empty_solution():
@@ -86,7 +100,7 @@ def _random_problem(domain_sizes, relations):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_matches_cartesian_filter_and_propagation_changes_nothing(data):
+def test_matches_cartesian_filter(data):
     k = data.draw(st.integers(min_value=1, max_value=3, ))
     domain_sizes = data.draw(
         st.lists(st.integers(min_value=1, max_value=4), min_size=k, max_size=k)
@@ -111,12 +125,7 @@ def test_matches_cartesian_filter_and_propagation_changes_nothing(data):
         ):
             expected.append({i: v for i, v in enumerate(values)})
 
-    fast = list(solve_all(_random_problem(domain_sizes, relations)))
-    slow = list(
-        solve_all(_random_problem(domain_sizes, relations), propagate=False)
-    )
-    assert fast == expected
-    assert slow == expected
+    assert list(solve_all(_random_problem(domain_sizes, relations))) == expected
 
 
 def _waiting_test(watches, func):
@@ -172,8 +181,7 @@ def test_waiting_constraints_match_static_watches(data):
         )
     ]
     for waiting in (False, True):
-        for propagate in (True, False):
-            assert list(solve_all(build(waiting), propagate)) == expected
+        assert list(solve_all(build(waiting))) == expected
 
 
 def test_waiting_on_an_unknown_variable_is_rejected():
@@ -193,8 +201,7 @@ def test_waiting_on_a_bound_variable_is_rejected():
         list(solve_all(problem))
 
 
-@pytest.mark.parametrize("propagate", [True, False])
-def test_waiting_on_int_variable_zero(propagate):
+def test_waiting_on_int_variable_zero():
     # Variable 0 is bound after variable 1.  A test that returns 0 waits on
     # it rather than failing, and the answer 1 is variable 1, not True.
     problem = Problem()
@@ -209,7 +216,7 @@ def test_waiting_on_int_variable_zero(propagate):
         return bound[0] + bound[1] == 2
 
     problem.add_constraint([1], test)
-    assert list(solve_all(problem, propagate)) == [
+    assert list(solve_all(problem)) == [
         {1: 0, 0: 2}, {1: 1, 0: 1}, {1: 2, 0: 0}
     ]
     assert waits
@@ -218,7 +225,7 @@ def test_waiting_on_int_variable_zero(propagate):
     problem.add_variable(0, [0, 1])
     problem.add_variable(1, [0, 1])
     problem.add_constraint([0], lambda bound: 1 if 1 not in bound else bound[1] != bound[0])
-    assert list(solve_all(problem, propagate)) == [{0: 0, 1: 1}, {0: 1, 1: 0}]
+    assert list(solve_all(problem)) == [{0: 0, 1: 1}, {0: 1, 1: 0}]
 
 
 def test_relation_results_are_read_as_bools():
@@ -232,8 +239,11 @@ def test_relation_results_are_read_as_bools():
 
 def test_moves_are_undone_on_backtrack():
     # The constraint is set off by x and then waits on y.  Undoing the move
-    # before the next value of x keeps it on y's watch list once, so it is
-    # tested once per binding of x and once per binding of y below it.
+    # before the next value of x keeps it on y's watch list once.  So per
+    # value of x it is tested once when x is bound, once per value of y
+    # when forward checking trims y's domain, and once per binding of y
+    # below it: 3 * (1 + 2 + 2) tests.  Left undone, the move would add a
+    # copy per value of x, and 3 * 5 + 2 + 4 tests.
     problem = Problem()
     problem.add_variable("x", [0, 1, 2])
     problem.add_variable("y", [0, 1])
@@ -244,5 +254,59 @@ def test_moves_are_undone_on_backtrack():
         return "y" if "y" not in bound else True
 
     problem.add_constraint(["x"], test)
-    assert len(list(solve_all(problem, propagate=False))) == 6
-    assert len(calls) == 3 + 3 * 2
+    assert len(list(solve_all(problem))) == 6
+    assert len(calls) == 3 * (1 + 2 + 2)
+
+
+SIX = two_type_six_arrow()
+EMPTY_3 = CompositionTable(((NC,) * 3,) * 3)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Constraint tests (counted through ``Problem.add_constraint``, as
+    the benchmark's tracer counts them) and full targets built."""
+    counts = {"tests": 0, "targets": 0}
+    add_constraint = search.Problem.add_constraint
+    build = genrep.full_transformation_sgpoid
+
+    def counting_add_constraint(problem, watches, test):
+        def counted(bound):
+            counts["tests"] += 1
+            return test(bound)
+
+        add_constraint(problem, watches, counted)
+
+    def counting_build(*args):
+        counts["targets"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(search.Problem, "add_constraint", counting_add_constraint)
+    monkeypatch.setattr(genrep, "full_transformation_sgpoid", counting_build)
+    return counts
+
+
+# Recorded while forward checking could still be switched off and the
+# representation search widened; removing both switches changed none.
+@pytest.mark.parametrize(
+    "run, result, tests, targets",
+    [
+        (lambda: len(list(enumerate_associative_tables(3))), 113, 4946, 0),
+        (
+            lambda: len(list(enumerate_associative_tables(3, allow_nc=True))),
+            442, 14917, 0,
+        ),
+        (lambda: len(list(infer_types(SIX, 2))), 2, 352, 0),
+        (lambda: len(list(find_morphisms(SIX, SIX, strict=True))), 6, 526, 0),
+        (lambda: len(list(find_morphisms(SIX, SIX))), 9, 489, 0),
+        (lambda: minimal_representation(SIX)[1], (2, 2), 4050, 4),
+        (lambda: minimal_representation(EMPTY_3)[1], (1, 3), 1070, 1),
+    ],
+    ids=[
+        "tables-3", "tables-3-nc", "infer-types", "strict-morphisms",
+        "morphisms", "represent-six", "represent-empty-3",
+    ],
+)
+def test_solver_work_and_targets_are_pinned(run, result, tests, targets, work):
+    assert run() == result
+    assert work == {"tests": tests, "targets": targets}
