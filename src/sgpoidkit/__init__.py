@@ -21,6 +21,7 @@ from .tables import (
     NC,
     UNSET,
     CompositionTable,
+    associative_table_orbits,
     compose,
     enumerate_associative_tables,
     first_nonassociative_triple,

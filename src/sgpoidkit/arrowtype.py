@@ -653,15 +653,24 @@ class ClassDatabase:
         database = cls()
         for bucket_file in sorted(directory.glob("nodes*_arcs*.json")):
             payload = json.loads(bucket_file.read_text())
-            for arcs in payload["classes"]:
+            classes = payload.get("classes") if isinstance(payload, dict) else None
+            if not isinstance(classes, list):
+                raise DomainError(f"{bucket_file}: classes must be a list of arc lists")
+            for arcs in classes:
+                arcs = _arcs_from_json(arcs)
                 if arcs:
-                    database.insert(ArrowTypeGraph.from_arcs(_arcs_from_json(arcs)))
+                    database.insert(ArrowTypeGraph.from_arcs(arcs))
                 else:
                     database.insert(ArrowTypeGraph(0, frozenset()))
         meta_file = directory / "meta.json"
         if meta_file.exists():
             meta = json.loads(meta_file.read_text())
-            database.complete_arrows = meta.get("complete_arrows", -1)
+            if not isinstance(meta, dict):
+                raise DomainError(f"{meta_file}: the top level must be a JSON object")
+            complete = meta.get("complete_arrows", -1)
+            if type(complete) is not int:
+                raise DomainError(f"{meta_file}: complete_arrows must be an integer")
+            database.complete_arrows = complete
         for m, n in database._buckets:
             if m == 2 * n and 1 <= n <= database.complete_arrows:
                 database._coverage[n] = m

@@ -41,6 +41,7 @@ from .morphisms import find_morphisms
 from .tables import (
     UNSET,
     CompositionTable,
+    associative_table_orbits,
     cell_from_json,
     enumerate_associative_tables,
     first_nonassociative_triple,
@@ -130,16 +131,13 @@ def _cmd_enumerate_tables(opts: dict) -> int:
     partial = None
     if opts["partial"]:
         partial = rows_from_json(_load_json(opts["partial"]), _partial_cell)
-    stream = enumerate_associative_tables(
-        opts["size"], allow_nc=opts["allow_nc"], partial=partial
-    )
-    count = 0
+    args = (opts["size"], opts["allow_nc"], partial)
     if opts["count_only"]:
-        for _ in stream:
-            count += 1
+        count = sum(size for _, size in associative_table_orbits(*args))
         print(count)
     else:
-        for table in stream:
+        count = 0
+        for table in enumerate_associative_tables(*args):
             count += 1
             print(json.dumps(table.to_json(), sort_keys=True))
     return 0 if count else 1
@@ -180,7 +178,10 @@ def _cmd_arrowtypes(opts: dict) -> int:
 
 def _cmd_generate(opts: dict) -> int:
     data = _load_json(opts["generators"])
-    gens = [TransformationArrow.from_json(g) for g in data["generators"]]
+    gens = data["generators"]
+    if not (isinstance(gens, list) and all(isinstance(g, dict) for g in gens)):
+        raise DomainError("generators must be a list of objects")
+    gens = [TransformationArrow.from_json(g) for g in gens]
     sgpoid = generate(gens, data["degrees"])
     print(
         json.dumps(

@@ -22,7 +22,7 @@ with ``null`` encoding NC; ``-1`` is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DomainError
@@ -73,6 +73,15 @@ UNSET = _Unset()
 ArrowValue = Union[int, _NotComposable]
 
 _INT_OR_NC = {int, _NotComposable}
+
+# Most relabelings :func:`associative_table_orbits` breaks.  Each is a
+# constraint that the search tests at many of its nodes, and a nearly
+# filled grid has few nodes to save: on an 8-arrow grid that all 8!
+# relabelings keep (the left-zero table with its diagonal unset), breaking
+# them all took 4 s where the labeled count takes 3 ms, and breaking 720
+# of them 0.07 s (Python 3.11, 2 CPUs).  720 = 6! keeps the whole group of
+# every grid on up to 6 arrows.
+SYMMETRY_LIMIT = 720
 
 
 def _check_entry(value, n: int) -> None:
@@ -242,19 +251,10 @@ def _triple_test(kab: tuple, kbc: tuple, row_a: list, col_c: list):
     return test
 
 
-def enumerate_associative_tables(
-    n: int,
-    allow_nc: bool = False,
-    partial: Optional[Sequence[Sequence]] = None,
-) -> Iterator[CompositionTable]:
-    """Stream every associative n-by-n table (labeled, not up to
-    isomorphism), in lexicographic cell order.
-
-    ``partial`` optionally pre-fills cells: a grid whose cells are arrow
-    indices, NC, or UNSET for cells left to the search.  Searched cells
-    range over arrows in ascending order, with NC last when ``allow_nc``.
-    Fixed cells are taken as given, whatever ``allow_nc`` says.
-    """
+def _table_problem(n: int, allow_nc: bool, partial) -> tuple:
+    """The search behind :func:`enumerate_associative_tables`: one variable
+    per cell in row-major order and one constraint per triple, with the
+    grid of fixed and UNSET cells it was built from."""
     if n < 1:
         raise DomainError("table size must be at least 1")
     if partial is not None:
@@ -282,8 +282,180 @@ def enumerate_associative_tables(
                 problem.add_constraint(
                     [(a, b)], _triple_test(rows[a][b], rows[b][c], rows[a], cols[c])
                 )
+    return problem, grid
 
+
+def enumerate_associative_tables(
+    n: int,
+    allow_nc: bool = False,
+    partial: Optional[Sequence[Sequence]] = None,
+) -> Iterator[CompositionTable]:
+    """Stream every associative n-by-n table (labeled, not up to
+    isomorphism), in lexicographic cell order.
+
+    ``partial`` optionally pre-fills cells: a grid whose cells are arrow
+    indices, NC, or UNSET for cells left to the search.  Searched cells
+    range over arrows in ascending order, with NC last when ``allow_nc``.
+    Fixed cells are taken as given, whatever ``allow_nc`` says.
+    """
+    problem, _ = _table_problem(n, allow_nc, partial)
     for solution in solve_all(problem):
-        yield CompositionTable(
-            tuple(tuple(solution[(i, j)] for j in range(n)) for i in range(n))
+        yield _solution_table(solution, n)
+
+
+def _solution_table(solution: dict, n: int) -> CompositionTable:
+    return CompositionTable(
+        tuple(tuple(solution[(i, j)] for j in range(n)) for i in range(n))
+    )
+
+
+def _grid_stabiliser(grid: Sequence[Sequence]) -> Iterator[tuple]:
+    """Stream every relabeling of the arrows that maps a partial grid onto
+    itself, as a tuple ``sigma`` with ``sigma[a]`` the new label of arrow
+    a, in lexicographic order (so the identity first).
+
+    Such a relabeling moves each fixed cell (a, b) holding v onto a fixed
+    cell holding sigma(v), or NC if v is NC, and each UNSET cell onto an
+    UNSET cell.  The search binds sigma(0), sigma(1), ... in turn; binding
+    sigma(a) checks the cells whose row, column and value are all among
+    the arrows bound so far, and an arrow may only go to an arrow with
+    the same count of each kind of cell in its row and column.
+    """
+    n = len(grid)
+
+    def kind(v):
+        return 0 if v is UNSET else 1 if v is NC else 2
+
+    holding = [0] * n
+    for row in grid:
+        for v in row:
+            if kind(v) == 2:
+                holding[v] += 1
+    profile = [
+        (
+            kind(grid[a][a]),
+            holding[a],
+            sorted(kind(v) for v in grid[a]),
+            sorted(kind(row[a]) for row in grid),
         )
+        for a in range(n)
+    ]
+    problem = Problem()
+    for a in range(n):
+        problem.add_variable(a, [b for b in range(n) if profile[b] == profile[a]])
+    # cells[a]: the cells (x, y, v) whose latest arrow among x, y and an
+    # int v is a.
+    cells: list = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            v = grid[x][y]
+            cells[max(x, y, v if kind(v) == 2 else 0)].append((x, y, v))
+
+    def step(a):
+        checks = cells[a]
+
+        def test(bound):
+            image = bound[a]
+            for b in range(a):
+                if bound[b] == image:
+                    return False
+            for x, y, v in checks:
+                # NC and UNSET equal only themselves.
+                if grid[bound[x]][bound[y]] != (bound[v] if kind(v) == 2 else v):
+                    return False
+            return True
+
+        return test
+
+    for a in range(n):
+        problem.add_constraint([a], step(a))
+    for solution in solve_all(problem):
+        yield tuple(solution[a] for a in range(n))
+
+
+def _symmetry_group(grid: Sequence[Sequence]) -> list:
+    """The relabelings that map the grid onto itself, identity first, if
+    there are at most SYMMETRY_LIMIT of them.  Otherwise the largest group
+    of them that also fix each of the arrows 0..k, which
+    :func:`_grid_stabiliser` lists first."""
+    found = list(islice(_grid_stabiliser(grid), SYMMETRY_LIMIT + 1))
+    if len(found) <= SYMMETRY_LIMIT:
+        return found
+    last = found[-1]
+    k = next(a for a, image in enumerate(last) if image != a)
+    prefix = found[0][: k + 1]
+    return [sigma for sigma in found if sigma[: k + 1] == prefix]
+
+
+def _lex_leader(walk: tuple, rank: dict, image_rank: dict):
+    """The test "the table is at most its sigma-image", comparing the cells
+    of ``walk`` in order: each pair is a cell c and the cell whose sigma-
+    image is c.  ``rank`` orders a cell's values (NC last), ``image_rank``
+    ranks a value by its sigma-image.  It waits on the first unbound cell
+    it reads and decides at the first cell that differs; a table equal to
+    its image (sigma an automorphism) passes."""
+
+    def test(bound):
+        for cell, source in walk:
+            x = bound.get(cell)
+            if x is None:
+                return cell
+            y = bound.get(source)
+            if y is None:
+                return source
+            left = rank[x]
+            right = image_rank[y]
+            if left != right:
+                return left < right
+        return True
+
+    return test
+
+
+def associative_table_orbits(
+    n: int,
+    allow_nc: bool = False,
+    partial: Optional[Sequence[Sequence]] = None,
+) -> Iterator[tuple]:
+    """Stream pairs (T, k): one table T of each orbit of a group G of
+    relabelings on the tables :func:`enumerate_associative_tables` yields,
+    and the number k of tables in that orbit, in lexicographic cell order.
+
+    G is every relabeling that maps the grid onto itself (all n! of them
+    without ``partial``), so it maps the grid's completions onto its
+    completions; past SYMMETRY_LIMIT relabelings it is the subgroup
+    :func:`_symmetry_group` picks.  For each sigma in G other than the
+    identity the search gets a lex-leader constraint: read in row-major
+    order, the table is at most its sigma-image (Crawford, Ginsberg, Luks
+    and Roy, "Symmetry-breaking predicates for search problems", KR 1996).
+    The least table of each orbit is the only one that passes them all,
+    and k = |G| / |Aut_G T|, where Aut_G T holds the sigma that map T onto
+    itself.  Fixed cells equal their images by the choice of G, so only
+    UNSET cells are compared.  Without ``partial`` and for n <= 6 the
+    orbits are the isomorphism classes.
+    """
+    problem, grid = _table_problem(n, allow_nc, partial)
+    group = _symmetry_group(grid)
+    unset = [(i, j) for i in range(n) for j in range(n) if grid[i][j] is UNSET]
+    rank = {v: v for v in range(n)}
+    rank[NC] = n
+    checks = []
+    for sigma in group[1:]:
+        inverse = [0] * n
+        for a, image in enumerate(sigma):
+            inverse[image] = a
+        walk = tuple(((i, j), (inverse[i], inverse[j])) for i, j in unset)
+        image_rank = {v: sigma[v] for v in range(n)}
+        image_rank[NC] = n
+        problem.add_constraint([], _lex_leader(walk, rank, image_rank))
+        checks.append((walk, image_rank))
+    for solution in solve_all(problem):
+        automorphisms = 1
+        for walk, image_rank in checks:
+            for cell, source in walk:
+                if rank[solution[cell]] != image_rank[solution[source]]:
+                    break
+            else:
+                automorphisms += 1
+        yield _solution_table(solution, n), len(group) // automorphisms
+

@@ -95,6 +95,36 @@ def test_enumerate_tables_count(capsys):
     assert capsys.readouterr().out.strip() == "8"
 
 
+def test_enumerate_tables_size_5_count(capsys):
+    start = time.perf_counter()
+    assert run(["enumerate-tables", "--size", "5", "--count-only"]) == 0
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().out == "183732\n"
+
+
+def _zero_rows_then_free_row(n):
+    # Every row but the last pinned to the zero 0: the relabelings of
+    # arrows 1..n-1 keep the grid.
+    return {"n": n, "entries": [[0] * n] * (n - 1) + [["?"] * n]}
+
+
+def test_enumerate_tables_count_of_a_nearly_filled_grid(tmp_path, capsys):
+    small = _write(tmp_path / "small.json", _zero_rows_then_free_row(7))
+    small = ["--size", "7", "--partial", small]
+    assert run(["enumerate-tables", *small]) == 0
+    listed = capsys.readouterr().out.count("\n")
+    assert run(["enumerate-tables", *small, "--count-only"]) == 0
+    assert capsys.readouterr().out == f"{listed}\n"
+    # 7! relabelings keep the 8-arrow grid; its labeled count, 7380, took
+    # 3.4 s when this test was written.
+    large = _write(tmp_path / "large.json", _zero_rows_then_free_row(8))
+    large = ["--size", "8", "--partial", large, "--count-only"]
+    start = time.perf_counter()
+    assert run(["enumerate-tables", *large]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "7380\n"
+
+
 def test_enumerate_tables_partial(tmp_path, capsys):
     partial = _write(
         tmp_path / "partial.json", {"entries": [[0, "?"], ["?", "?"]]}
@@ -530,6 +560,7 @@ def test_minus_one_entry_exits_two(tmp_path, capsys):
 
 
 GRAPH_ARGV = ["represent", "t.json", "--graph", "g.json", "--degrees", "1"]
+DB_ARGV = ["arrowtypes", "--max-arrows", "2", "--db", "db"]
 
 
 @pytest.mark.parametrize(
@@ -554,6 +585,16 @@ GRAPH_ARGV = ["represent", "t.json", "--graph", "g.json", "--degrees", "1"]
             "db/nodes01_arcs001.json",
             {"node_count": 1, "arc_count": 1, "classes": [[[0]]]},
             ["arrowtypes", "--max-arrows", "2", "--db", "db"],
+        ),
+        ("db/nodes01_arcs001.json", [1], DB_ARGV),
+        ("db/nodes01_arcs001.json", {"classes": 5}, DB_ARGV),
+        ("db/meta.json", [1], DB_ARGV),
+        ("db/meta.json", {"complete_arrows": "x"}, DB_ARGV),
+        ("gens.json", {"degrees": [2], "generators": 5}, ["generate", "gens.json"]),
+        (
+            "gens.json",
+            {"degrees": [2], "generators": [[0, 0, [1, 0]]]},
+            ["generate", "gens.json"],
         ),
     ],
 )

@@ -1,6 +1,9 @@
+import functools
 import hashlib
 import itertools
+import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from sgpoidkit import (
     UNSET,
     CompositionTable,
     DomainError,
+    associative_table_orbits,
     compose,
     enumerate_associative_tables,
     first_nonassociative_triple,
@@ -18,9 +22,10 @@ from sgpoidkit import (
     triple_associative,
 )
 from sgpoidkit.cli import run
+from sgpoidkit.tables import SYMMETRY_LIMIT, _symmetry_group
 
 from .conftest import from_grid, grid
-from .oracles import brute_force_tables
+from .oracles import brute_force_tables, table_canonical
 
 
 def test_compose_flip_flop(ff):
@@ -251,3 +256,130 @@ def test_table_validation_accepts_int_subclasses_and_nc(n):
     table = CompositionTable(rows)
     assert table.entries[0][0] == n - 1
     assert CompositionTable([[NC] * n for _ in range(n)]).n == n
+
+
+def _orbit_count(n, allow_nc=False, partial=None):
+    return sum(size for _, size in associative_table_orbits(n, allow_nc, partial))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("allow_nc", [False, True])
+def test_orbit_count_matches_labeled_count(n, allow_nc):
+    labeled = sum(1 for _ in enumerate_associative_tables(n, allow_nc=allow_nc))
+    assert _orbit_count(n, allow_nc=allow_nc) == labeled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("allow_nc", [False, True])
+def test_orbits_are_the_isomorphism_classes(n, allow_nc):
+    # One table per class, and each orbit's size is the number of labeled
+    # tables in its class, by the brute-force oracles.
+    orbits = list(associative_table_orbits(n, allow_nc=allow_nc))
+    forms = [table_canonical(grid(t)) for t, _ in orbits]
+    assert len(set(forms)) == len(forms)
+    per_class = Counter(table_canonical(g) for g in brute_force_tables(n, allow_nc))
+    assert dict(zip(forms, (size for _, size in orbits))) == per_class
+
+
+# Semigroups of order n up to isomorphism (OEIS A027851) and labeled
+# (A023814).
+@pytest.mark.parametrize(
+    "n, classes, labeled",
+    [(1, 1, 1), (2, 5, 8), (3, 24, 113), (4, 188, 3492), (5, 1915, 183732)],
+)
+def test_orbit_counts_match_oeis(n, classes, labeled):
+    sizes = [size for _, size in associative_table_orbits(n)]
+    assert len(sizes) == classes
+    assert sum(sizes) == labeled
+    assert _orbit_count(n) == labeled
+
+
+def _relabel_grid(rows, perm):
+    """The grid relabeled by ``perm``: cell (perm[i], perm[j]) holds the
+    image of cell (i, j); NC and UNSET stay."""
+    n = len(rows)
+    inverse = [0] * n
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    return [
+        [
+            v if v is NC or v is UNSET else perm[v]
+            for v in (rows[inverse[i]][inverse[j]] for j in range(n))
+        ]
+        for i in range(n)
+    ]
+
+
+def _relabelings_keeping(rows):
+    n = len(rows)
+    rows = [list(row) for row in rows]
+    return [
+        perm
+        for perm in itertools.permutations(range(n))
+        if _relabel_grid(rows, perm) == rows
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _table_pool(n):
+    return [t.entries for t in enumerate_associative_tables(n, allow_nc=n < 4)]
+
+
+def _seeded_partial(seed):
+    """A partial grid cut from a random associative table: with some seeds
+    a union of the cell orbits of one of the table's automorphisms, so the
+    grid keeps that relabeling, with the others random cells."""
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    entries = rng.choice(_table_pool(n))
+    automorphisms = _relabelings_keeping(entries)
+    while seed % 2 and len(automorphisms) == 1:
+        entries = rng.choice(_table_pool(n))
+        automorphisms = _relabelings_keeping(entries)
+    rows = [[UNSET] * n for _ in range(n)]
+    if seed % 2:
+        sigma = rng.choice(automorphisms[1:])
+        for i, j in itertools.product(range(n), repeat=2):
+            if rows[i][j] is UNSET and rng.random() < 0.5:
+                while rows[i][j] is UNSET:
+                    rows[i][j] = entries[i][j]
+                    i, j = sigma[i], sigma[j]
+    else:
+        for i, j in itertools.product(range(n), repeat=2):
+            if rng.random() < 0.4:
+                rows[i][j] = entries[i][j]
+    return n, rows, rng.random() < 0.5
+
+
+def test_orbit_count_of_seeded_partial_grids_matches_listing():
+    symmetric = with_nc = completed = 0
+    for seed in range(40):
+        n, rows, allow_nc = _seeded_partial(seed)
+        group = _symmetry_group(rows)
+        assert group == _relabelings_keeping(rows)
+        listed = sum(1 for _ in enumerate_associative_tables(n, allow_nc, rows))
+        assert _orbit_count(n, allow_nc, rows) == listed
+        symmetric += len(group) > 1
+        with_nc += any(v is NC for row in rows for v in row)
+        completed += listed > 0
+    assert symmetric >= 10 and with_nc >= 10 and completed >= 20
+
+
+@pytest.mark.parametrize("zero", [0, 1])
+def test_pinned_zero_size_5_grid_counts_3020(zero):
+    # The benchmark's grid: rows 0 and 1 pinned to the zero, under either
+    # labeling of the zero.
+    rows = [[zero] * 5, [zero] * 5] + [[UNSET] * 5 for _ in range(3)]
+    assert len(_symmetry_group(rows)) == 6
+    assert _orbit_count(5, partial=rows) == 3020
+    assert sum(1 for _ in enumerate_associative_tables(5, partial=rows)) == 3020
+
+
+def test_large_symmetry_groups_are_cut_to_a_point_stabiliser():
+    # All 7! relabelings keep the empty 7-arrow grid; the count breaks the
+    # 6! of them that fix arrow 0.
+    group = _symmetry_group([[UNSET] * 7 for _ in range(7)])
+    assert len(group) == SYMMETRY_LIMIT == 720
+    assert group[0] == tuple(range(7))
+    assert len(set(group)) == 720 and all(sigma[0] == 0 for sigma in group)
+    assert sorted(group[1][1:]) == list(range(1, 7))
