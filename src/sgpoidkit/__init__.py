@@ -35,6 +35,7 @@ from .typestructure import (
     is_semigroupoid,
     minimal_objects,
     satisfies_typing,
+    typing_orbits,
 )
 from .morphisms import (
     ArrowMap,

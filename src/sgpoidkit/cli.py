@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -48,7 +49,7 @@ from .tables import (
     is_associative,
     rows_from_json,
 )
-from .typestructure import infer_types, minimal_objects
+from .typestructure import infer_types, minimal_objects, typing_orbits
 
 
 def _load_json(path: str) -> dict:
@@ -93,12 +94,16 @@ def _cmd_infer_types(opts: dict) -> int:
         if m is None:
             print("no consistent type structure", file=sys.stderr)
             return 1
-    solutions = list(infer_types(table, m))
     if opts["count_only"]:
-        print(len(solutions))
-    else:
-        for ts in solutions:
-            print(json.dumps(ts.to_json(), sort_keys=True))
+        count = sum(
+            math.perm(m, len(set(ts.doms + ts.cods)))
+            for ts in typing_orbits(table, m)
+        )
+        print(count)
+        return 0 if count else 1
+    solutions = list(infer_types(table, m))
+    for ts in solutions:
+        print(json.dumps(ts.to_json(), sort_keys=True))
     return 0 if solutions else 1
 
 

@@ -24,7 +24,7 @@ from .arrowtype import (
 from .errors import DomainError, ResourceLimitError
 from .morphisms import ArrowMap, find_injective_morphisms
 from .tables import NC, CompositionTable, is_associative, _NotComposable
-from .typestructure import infer_types, minimal_objects
+from .typestructure import minimal_objects, typing_orbits
 
 # Cost guard: composition-table cells of a full transformation target (T_5,
 # 3125 arrows, has 9.8 M; T_6 would have 2.2 G).
@@ -289,11 +289,12 @@ def _degree_vectors(total: int, parts: int) -> Iterator[tuple]:
 
 
 def _candidate_graphs(table: CompositionTable, m: int) -> list:
-    # Canonical quotient graphs on exactly m objects of the table's typings.
+    # Canonical quotient graphs on exactly m objects of the table's typings;
+    # relabeling a typing relabels its graph, so one typing per orbit will do.
     reps = {}
-    for ts in infer_types(table, m, symmetry_break=True):
-        rep = canonical_form(arrow_type_of(table, ts))
-        if rep.m == m:
+    for ts in typing_orbits(table, m):
+        if len(set(ts.doms + ts.cods)) == m:
+            rep = canonical_form(arrow_type_of(table, ts))
             reps[rep.sorted_arcs] = rep
     return list(reps.values())
 

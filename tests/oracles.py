@@ -62,6 +62,29 @@ def brute_force_typings(entries, m):
     return found
 
 
+def first_appearance_labelings(size):
+    """Every labeling of ``size`` positions whose labels first appear in
+    order 0, 1, 2, ...: one per set partition of the positions."""
+    labelings = [()]
+    for _ in range(size):
+        labelings = [
+            s + (v,) for s in labelings for v in range(max(s, default=-1) + 2)
+        ]
+    return labelings
+
+
+def typing_patterns(entries):
+    """The typings up to relabeling of the objects: each first-appearance
+    labeling of the 2n ends (doms, then cods) that passes the typing
+    rules.  A rule only compares two ends, so every relabeling of a
+    pattern is a typing too."""
+    n = len(entries)
+    return [
+        p for p in first_appearance_labelings(2 * n)
+        if grid_typing_ok(entries, p[:n], p[n:])
+    ]
+
+
 def grid_compose(entries, a, b):
     if a is None or b is None:
         return None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -58,6 +59,29 @@ def test_infer_types_count(tmp_path, empty_three, capsys):
     path = _write(tmp_path / "empty3.json", empty_three.to_json())
     assert run(["infer-types", path, "--objects", "2", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_infer_types_count_on_many_objects(tmp_path, empty_three, capsys):
+    # The typings of the empty table colour K_{3,3}, domains against
+    # codomains: its chromatic polynomial at 30, with the domains on j
+    # objects and each codomain on one of the other 30 - j.
+    path = _write(tmp_path / "empty3.json", empty_three.to_json())
+    m = 30
+    expected = sum(
+        _stirling2(3, j) * math.perm(m, j) * (m - j) ** 3 for j in range(1, 4)
+    )
+    start = time.perf_counter()
+    assert run(["infer-types", path, "--objects", str(m), "--count-only"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.strip() == str(expected)
 
 
 def test_morphism_counts(six_file, capsys):

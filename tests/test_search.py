@@ -296,11 +296,11 @@ def work(monkeypatch):
             lambda: len(list(enumerate_associative_tables(3, allow_nc=True))),
             442, 14917, 0,
         ),
-        (lambda: len(list(infer_types(SIX, 2))), 2, 352, 0),
+        (lambda: len(list(infer_types(SIX, 2))), 2, 8, 0),
         (lambda: len(list(find_morphisms(SIX, SIX, strict=True))), 6, 526, 0),
         (lambda: len(list(find_morphisms(SIX, SIX))), 9, 489, 0),
-        (lambda: minimal_representation(SIX)[1], (2, 2), 4050, 4),
-        (lambda: minimal_representation(EMPTY_3)[1], (1, 3), 1070, 1),
+        (lambda: minimal_representation(SIX)[1], (2, 2), 3028, 4),
+        (lambda: minimal_representation(EMPTY_3)[1], (1, 3), 513, 1),
     ],
     ids=[
         "tables-3", "tables-3-nc", "infer-types", "strict-morphisms",

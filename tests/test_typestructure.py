@@ -1,8 +1,11 @@
 import itertools
+import math
+import random
 
 import pytest
 
 from sgpoidkit import (
+    CompositionTable,
     DomainError,
     TypeStructure,
     infer_types,
@@ -10,10 +13,11 @@ from sgpoidkit import (
     is_semigroupoid,
     minimal_objects,
     satisfies_typing,
+    typing_orbits,
 )
 
 from .conftest import from_grid, grid
-from .oracles import brute_force_typings
+from .oracles import brute_force_typings, grid_typing_ok, typing_patterns
 
 
 def _solutions(table, m):
@@ -104,15 +108,108 @@ def test_solution_set_closed_under_object_permutations(
                 assert relabeled in solutions
 
 
-def test_symmetry_break_is_sound_and_restricting(empty_three):
-    broken = {
-        (ts.doms, ts.cods)
-        for ts in infer_types(empty_three, 2, symmetry_break=True)
-    }
-    full = _solutions(empty_three, 2)
-    assert broken <= full
-    assert all(doms[0] == 0 for doms, _ in broken)
-    assert broken
+def _seeded_grids(rng, n, count):
+    """``count`` uniform grids with NC entries (nearly all untypable), then
+    ``count`` grids typed by a random typing on 1 to 3 objects: a pair
+    whose ends meet gets a random arrow of the right type, or NC when there
+    is none.  Arrow 0 is a loop, so not every pair is NC.  Associative or
+    not."""
+    values = list(range(n)) + [None]
+    for _ in range(count):
+        yield tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(n))
+    for _ in range(count):
+        objects = rng.randint(1, 3)
+        doms = [rng.randrange(objects) for _ in range(n)]
+        cods = [doms[0]] + [rng.randrange(objects) for _ in range(n - 1)]
+        yield tuple(
+            tuple(
+                rng.choice(
+                    [c for c in range(n) if (doms[c], cods[c]) == (doms[a], cods[b])]
+                    or [None]
+                )
+                if cods[a] == doms[b] else None
+                for b in range(n)
+            )
+            for a in range(n)
+        )
+
+
+def _typing_grids():
+    for n in (1, 2):
+        values = list(range(n)) + [None]
+        for cells in itertools.product(values, repeat=n * n):
+            yield tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
+    rng = random.Random(12)
+    yield from _seeded_grids(rng, 3, 30)
+    yield from _seeded_grids(rng, 4, 20)
+
+
+def _first_appearance(doms, cods):
+    labels: dict = {}
+    ends = tuple(labels.setdefault(x, len(labels)) for x in doms + cods)
+    return ends[:len(doms)], ends[len(doms):]
+
+
+def _relabelings(patterns, m):
+    """Every typing over m objects, in lexicographic order: each pattern
+    under each injective relabeling of its objects."""
+    found = []
+    for p in patterns:
+        n = len(p) // 2
+        for image in itertools.permutations(range(m), max(p, default=-1) + 1):
+            ends = tuple(image[x] for x in p)
+            found.append((ends[:n], ends[n:]))
+    return sorted(found)
+
+
+def test_typing_paths_match_oracle():
+    for entries in _typing_grids():
+        table = from_grid(entries)
+        n = len(entries)
+        patterns = typing_patterns(entries)
+        least = None
+        for m in range(1, 2 * n + 1):
+            labeled = _relabelings(patterns, m)
+            if m ** (2 * n) <= 10**4:
+                assert labeled == brute_force_typings(entries, m)
+            listing = [(ts.doms, ts.cods) for ts in infer_types(table, m)]
+            assert listing == labeled
+            orbits = [(ts.doms, ts.cods) for ts in typing_orbits(table, m)]
+            # One normal form per relabeling class, each a typing, and the
+            # normal form of every labeled typing among them.
+            assert len(set(orbits)) == len(orbits)
+            for doms, cods in orbits:
+                assert grid_typing_ok(entries, doms, cods)
+                assert _first_appearance(doms, cods) == (doms, cods)
+            assert {_first_appearance(*t) for t in labeled} == set(orbits)
+            assert sum(
+                math.perm(m, len(set(doms + cods))) for doms, cods in orbits
+            ) == len(labeled)
+            if least is None and labeled:
+                least = m
+        assert minimal_objects(table) == least
+
+
+def test_zero_arrow_table_has_one_empty_typing():
+    table = CompositionTable(())
+    assert minimal_objects(table) == 1
+    assert list(infer_types(table, 1)) == [TypeStructure(1, (), ())]
+    assert list(typing_orbits(table, 3)) == [TypeStructure(3, (), ())]
+
+
+def test_nc_pair_inside_one_class_is_untypable(associative_not_typable):
+    # ef = fe = e and ff = f force cod e = dom f = dom e, but ee is NC.
+    for m in range(1, 8):
+        assert next(infer_types(associative_not_typable, m), None) is None
+        assert next(typing_orbits(associative_not_typable, m), None) is None
+
+
+def test_orbits_of_the_empty_table(empty_three):
+    # A domain and a codomain never share an object: two constant
+    # patterns on two objects, one relabeling class.
+    assert [
+        (ts.doms, ts.cods) for ts in typing_orbits(empty_three, 2)
+    ] == [((0, 0, 0), (1, 1, 1))]
 
 
 def test_independence_found_by_enumeration(
@@ -171,3 +268,5 @@ def test_type_structure_validation():
 def test_infer_types_rejects_nonpositive_m(ff):
     with pytest.raises(DomainError):
         list(infer_types(ff, 0))
+    with pytest.raises(DomainError):
+        list(typing_orbits(ff, 0))
