@@ -30,8 +30,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from .errors import DomainError, ResourceLimitError, StaleDatabaseError
-from .morphisms import ArrowMap
-from .search import Problem, solve_all
+from .morphisms import ArrowMap, _morphism_solutions
+# Unused here; perfbench/test_perfbench.py checks that its tracer rebinds
+# solve_all in this module.
+from .search import solve_all  # noqa: F401
 from .tables import NC, CompositionTable
 from .typestructure import TypeStructure
 
@@ -244,12 +246,14 @@ def one_more_arrow(arcs, m: int, added_object: bool = False) -> list:
 
 
 def digraph_isomorphisms(G, H) -> Iterator[dict]:
-    """All node bijections sending arcs exactly onto arcs.
+    """All node bijections sending arcs exactly onto arcs, in lexicographic
+    order of the images of the sorted nodes.
 
-    Candidate images are pre-filtered by equal (out-degree, in-degree)
-    pairs.  Graphs are taken as arc sets (or :class:`ArrowTypeGraph`), so
-    isolated nodes cannot occur; ArrowTypeGraph rejects them at
-    construction.
+    Each graph's sorted nodes become the indices of a grid whose cell
+    (u, v) holds v for an arc and NC otherwise; the bijections are the
+    strict bijective morphisms between the two grids.  Graphs are taken
+    as arc sets (or :class:`ArrowTypeGraph`), so isolated nodes cannot
+    occur; ArrowTypeGraph rejects them at construction.
     """
     g = _arcset(G)
     h = _arcset(H)
@@ -257,26 +261,15 @@ def digraph_isomorphisms(G, H) -> Iterator[dict]:
     h_nodes = sorted(_nodes(h))
     if len(g_nodes) != len(h_nodes) or len(g) != len(h):
         return
-    g_deg = _degree_pairs(g)
-    h_deg = _degree_pairs(h)
-    by_degree: dict = {}
-    for v in h_nodes:
-        by_degree.setdefault(h_deg[v], []).append(v)
 
-    problem = Problem()
-    for v in g_nodes:
-        problem.add_variable(v, by_degree.get(g_deg[v], []))
-    problem.add_all_different(g_nodes)
-    for x, y in sorted(g):
+    def grid(arcs, nodes) -> list:
+        return [
+            [j if (x, y) in arcs else NC for j, y in enumerate(nodes)] for x in nodes
+        ]
 
-        def arc_test(bound, x=x, y=y):
-            if x in bound and y in bound:
-                return (bound[x], bound[y]) in h
-            return True
-
-        problem.add_constraint((x, y), arc_test)
-    for solution in solve_all(problem):
-        yield {v: solution[v] for v in g_nodes}
+    source, target = grid(g, g_nodes), grid(h, h_nodes)
+    for images in _morphism_solutions(source, target, strict=True, distinct=True):
+        yield {v: h_nodes[i] for v, i in zip(g_nodes, images)}
 
 
 def _twin_classes(edges: list, m: int) -> list:

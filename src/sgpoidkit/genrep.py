@@ -316,8 +316,11 @@ def minimal_representation(
     Targets with fewer arrows than the table are skipped unbuilt.
     Termination: the regular action on arrows (one extra sink state per
     type) realizes the table with n + m states, so the search is capped
-    there unless ``max_total`` narrows it.
+    there unless ``max_total`` narrows it.  The table with no arrows is
+    refused: its one typing uses no object, so it yields no candidate.
     """
+    if abstract.n == 0:
+        raise DomainError("the table with no arrows has no minimal representation")
     if not is_associative(abstract):
         raise DomainError("table is not associative")
     m_least = minimal_objects(abstract)

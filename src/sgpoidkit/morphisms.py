@@ -16,7 +16,7 @@ Morphisms are streamed in lexicographic order of their image vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError
 from .search import Problem, solve_all
@@ -71,14 +71,13 @@ def composition_relation(table: CompositionTable) -> CompositionRelation:
     return CompositionRelation({k: frozenset(v) for k, v in fibers.items()})
 
 
-def _pair_constraint(problem: Problem, target: CompositionTable, a, b, d) -> None:
-    entries = target.entries
-
-    if d is NC:
+def _pair_constraint(problem: Problem, target: Sequence, a, b, d) -> None:
+    if not isinstance(d, int):
+        # NC, or another marker such as UNSET: the images' cell holds it too.
 
         def test(bound) -> bool:
             if a in bound and b in bound:
-                return entries[bound[a]][bound[b]] is NC
+                return target[bound[a]][bound[b]] is d
             return True
 
         problem.add_constraint((a, b), test)
@@ -86,7 +85,7 @@ def _pair_constraint(problem: Problem, target: CompositionTable, a, b, d) -> Non
 
         def test(bound) -> bool:
             if a in bound and b in bound:
-                prod = entries[bound[a]][bound[b]]
+                prod = target[bound[a]][bound[b]]
                 if prod is NC:
                     return False
                 if d in bound:
@@ -97,25 +96,29 @@ def _pair_constraint(problem: Problem, target: CompositionTable, a, b, d) -> Non
 
 
 def _morphism_solutions(
-    S: CompositionTable,
-    T: CompositionTable,
-    strict: bool,
-    distinct: bool,
-) -> Iterator[ArrowMap]:
+    source: Sequence, target: Sequence, strict: bool, distinct: bool
+) -> Iterator[tuple]:
+    """Image vectors, in lexicographic order, of the maps from the arrows
+    of the grid ``source`` to those of the grid ``target`` that send each
+    cell (a, b) holding d to a cell holding the image of d.  A cell that
+    holds a marker instead of an arrow (NC, UNSET) is sent to a cell
+    holding the same marker; NC cells only constrain when ``strict``.
+    ``distinct`` asks for pairwise distinct images."""
+    n = len(source)
     problem = Problem()
-    images = list(range(T.n))
-    for a in range(S.n):
+    images = list(range(len(target)))
+    for a in range(n):
         problem.add_variable(a, images)
     if distinct:
-        problem.add_all_different(range(S.n))
-    for a in range(S.n):
-        for b in range(S.n):
-            d = S.entries[a][b]
+        problem.add_all_different(range(n))
+    for a in range(n):
+        for b in range(n):
+            d = source[a][b]
             if d is NC and not strict:
                 continue
-            _pair_constraint(problem, T, a, b, d)
+            _pair_constraint(problem, target, a, b, d)
     for solution in solve_all(problem):
-        yield ArrowMap(S.n, T.n, tuple(solution[a] for a in range(S.n)))
+        yield tuple(solution[a] for a in range(n))
 
 
 def find_morphisms(
@@ -132,14 +135,16 @@ def find_morphisms(
     """
     if bijective and S.n != T.n:
         return iter(())
-    return _morphism_solutions(S, T, strict=strict, distinct=bijective)
+    search = _morphism_solutions(S.entries, T.entries, strict, bijective)
+    return (ArrowMap(S.n, T.n, images) for images in search)
 
 
 def find_injective_morphisms(
     S: CompositionTable, T: CompositionTable, strict: bool = False
 ) -> Iterator[ArrowMap]:
     """Morphisms with pairwise distinct images; the target may be larger."""
-    return _morphism_solutions(S, T, strict=strict, distinct=True)
+    search = _morphism_solutions(S.entries, T.entries, strict, True)
+    return (ArrowMap(S.n, T.n, images) for images in search)
 
 
 def check_morphism(

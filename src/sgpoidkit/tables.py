@@ -309,76 +309,20 @@ def _solution_table(solution: dict, n: int) -> CompositionTable:
     )
 
 
-def _grid_stabiliser(grid: Sequence[Sequence]) -> Iterator[tuple]:
-    """Stream every relabeling of the arrows that maps a partial grid onto
-    itself, as a tuple ``sigma`` with ``sigma[a]`` the new label of arrow
-    a, in lexicographic order (so the identity first).
-
-    Such a relabeling moves each fixed cell (a, b) holding v onto a fixed
-    cell holding sigma(v), or NC if v is NC, and each UNSET cell onto an
-    UNSET cell.  The search binds sigma(0), sigma(1), ... in turn; binding
-    sigma(a) checks the cells whose row, column and value are all among
-    the arrows bound so far, and an arrow may only go to an arrow with
-    the same count of each kind of cell in its row and column.
-    """
-    n = len(grid)
-
-    def kind(v):
-        return 0 if v is UNSET else 1 if v is NC else 2
-
-    holding = [0] * n
-    for row in grid:
-        for v in row:
-            if kind(v) == 2:
-                holding[v] += 1
-    profile = [
-        (
-            kind(grid[a][a]),
-            holding[a],
-            sorted(kind(v) for v in grid[a]),
-            sorted(kind(row[a]) for row in grid),
-        )
-        for a in range(n)
-    ]
-    problem = Problem()
-    for a in range(n):
-        problem.add_variable(a, [b for b in range(n) if profile[b] == profile[a]])
-    # cells[a]: the cells (x, y, v) whose latest arrow among x, y and an
-    # int v is a.
-    cells: list = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            v = grid[x][y]
-            cells[max(x, y, v if kind(v) == 2 else 0)].append((x, y, v))
-
-    def step(a):
-        checks = cells[a]
-
-        def test(bound):
-            image = bound[a]
-            for b in range(a):
-                if bound[b] == image:
-                    return False
-            for x, y, v in checks:
-                # NC and UNSET equal only themselves.
-                if grid[bound[x]][bound[y]] != (bound[v] if kind(v) == 2 else v):
-                    return False
-            return True
-
-        return test
-
-    for a in range(n):
-        problem.add_constraint([a], step(a))
-    for solution in solve_all(problem):
-        yield tuple(solution[a] for a in range(n))
-
-
 def _symmetry_group(grid: Sequence[Sequence]) -> list:
     """The relabelings that map the grid onto itself, identity first, if
     there are at most SYMMETRY_LIMIT of them.  Otherwise the largest group
-    of them that also fix each of the arrows 0..k, which
-    :func:`_grid_stabiliser` lists first."""
-    found = list(islice(_grid_stabiliser(grid), SYMMETRY_LIMIT + 1))
+    of them that also fix each of the arrows 0..k, which come first.
+
+    A relabeling ``sigma`` (arrow a gets the label ``sigma[a]``) keeps the
+    grid when it is a strict bijective morphism from the grid to itself:
+    it moves each fixed cell holding v onto one holding sigma(v), or NC if
+    v is NC, and each UNSET cell onto an UNSET cell.  The morphism search
+    lists them in lexicographic order."""
+    from .morphisms import _morphism_solutions  # morphisms imports this module
+
+    search = _morphism_solutions(grid, grid, strict=True, distinct=True)
+    found = list(islice(search, SYMMETRY_LIMIT + 1))
     if len(found) <= SYMMETRY_LIMIT:
         return found
     last = found[-1]

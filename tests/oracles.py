@@ -152,6 +152,21 @@ def digraph_canonical(arcs):
     return best
 
 
+def brute_force_digraph_isomorphisms(g, h):
+    """Every node bijection sending the arcs of g exactly onto those of h,
+    by scanning the permutations of h's sorted nodes in order."""
+    g_nodes = sorted({x for arc in g for x in arc})
+    h_nodes = sorted({x for arc in h for x in arc})
+    if len(g_nodes) != len(h_nodes):
+        return []
+    found = []
+    for perm in itertools.permutations(h_nodes):
+        relabel = dict(zip(g_nodes, perm))
+        if {(relabel[d], relabel[c]) for d, c in g} == set(h):
+            found.append(relabel)
+    return found
+
+
 def arcs_transitively_closed(arcs):
     for d, c in arcs:
         for y, z in arcs:

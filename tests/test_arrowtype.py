@@ -40,6 +40,7 @@ from sgpoidkit.arrowtype import (
 
 from .oracles import (
     arcs_transitively_closed,
+    brute_force_digraph_isomorphisms,
     brute_force_graph_classes,
     digraph_canonical,
     functional_digraph_classes,
@@ -342,6 +343,29 @@ def test_canonical_form_agrees_with_isomorphism_search():
             same_canonical = canonical_form(g) == canonical_form(h)
             isomorphic = next(digraph_isomorphisms(g, h), None) is not None
             assert same_canonical == isomorphic
+
+
+def test_digraph_isomorphisms_match_permutation_oracle_in_order():
+    # Full output, each dict and its place in the list: every compact arc
+    # set on at most 3 objects against a relabeled copy of itself (new
+    # labels, so the two node sets differ), then seeded unrelated pairs.
+    rng = random.Random(13)
+    graphs = list(_all_compact_arc_sets(9, 3))
+    pairs = []
+    for arcs in graphs:
+        nodes = sorted({x for a in arcs for x in a})
+        labels = rng.sample(range(10, 20), len(nodes))
+        relabel = dict(zip(nodes, labels))
+        pairs.append((arcs, {(relabel[d], relabel[c]) for d, c in arcs}))
+    pairs += [tuple(rng.sample(graphs, 2)) for _ in range(40)]
+    isomorphic = 0
+    for g, h in pairs:
+        found = list(digraph_isomorphisms(g, h))
+        expected = brute_force_digraph_isomorphisms(g, h)
+        assert found == expected
+        assert [list(f.items()) for f in found] == [list(e.items()) for e in expected]
+        isomorphic += bool(found)
+    assert isomorphic >= len(graphs)
 
 
 def test_signature_is_isomorphism_invariant():

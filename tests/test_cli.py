@@ -460,6 +460,14 @@ def test_represent_minimal_golden_output(tmp_path, capsys):
     assert capsys.readouterr().out == NULL3_MINIMAL
 
 
+def test_represent_minimal_refuses_the_table_with_no_arrows(tmp_path, capsys):
+    path = _write(tmp_path / "empty.json", {"entries": []})
+    assert run(["represent", path, "--minimal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: the table with no arrows" in captured.err
+
+
 def test_represent_strict_is_a_usage_error(tmp_path, capsys):
     # Strict embedding is the default, so there is no --strict flag.
     table = _write(tmp_path / "z.json", {"n": 1, "entries": [[0]]})

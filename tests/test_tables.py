@@ -365,6 +365,23 @@ def test_orbit_count_of_seeded_partial_grids_matches_listing():
     assert symmetric >= 10 and with_nc >= 10 and completed >= 20
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("marked", [0, 1])
+def test_nc_and_unset_cells_are_not_swapped(n, marked):
+    # The only asymmetry: diagonal cell (marked, marked) is NC, and every
+    # other cell UNSET.  So only relabelings that fix arrow ``marked``
+    # keep the grid.
+    rows = [[UNSET] * n for _ in range(n)]
+    rows[marked][marked] = NC
+    group = _symmetry_group(rows)
+    assert group == _relabelings_keeping(rows)
+    assert all(sigma[marked] == marked for sigma in group)
+    if n == 2:
+        assert group == [(0, 1)]
+    listed = sum(1 for _ in enumerate_associative_tables(n, True, rows))
+    assert _orbit_count(n, True, rows) == listed
+
+
 @pytest.mark.parametrize("zero", [0, 1])
 def test_pinned_zero_size_5_grid_counts_3020(zero):
     # The benchmark's grid: rows 0 and 1 pinned to the zero, under either
