@@ -222,6 +222,57 @@ def _extension_orbits(arcs: frozenset, m: int, max_objects: int) -> Iterator[tup
             yield extension
 
 
+def _canonical_deletion(n: int, arc: tuple, closed: frozenset) -> bool:
+    """True when the closed child of a parent with n arcs, extended by
+    ``arc``, is to be offered to the database: a cheap isomorph rejection
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+
+    An arc (d, c) of a closed arc set is removable when it is not the
+    composite of two other arcs: no y outside {d, c} has (d, y) and (y, c)
+    present (for a loop, no y != d has (d, y) and (y, d)).  Deleting a
+    removable arc leaves the set closed.  The arc's key is (out-degree,
+    in-degree, has-loop) of its tail, then the same three for its head; the
+    key and removability are invariants of the pair (graph, arc).  A child
+    that closure left at n + 1 arcs is accepted when no removable arc of it
+    has a larger key than the added arc, which is removable itself.  A child
+    whose closure added more arcs is accepted when it has no removable arc.
+    Ties are let through; the database still deduplicates exactly.
+
+    No class is lost.  Let C have a removable arc, and e* one with the
+    largest key.  C - e* is closed, with fewer arcs and no more objects, so
+    its class is stored.  An isomorphism from C - e* onto the stored form,
+    followed by the twin permutation that takes the image of e* to its
+    orbit's representative e' (see :func:`_extension_orbits`), is an
+    isomorphism from C onto the child by e' that takes e* to e'.  So e' is
+    removable with the largest key in its child, and that child is
+    accepted.  Let C have no removable arc.  Rebuilding C arc by arc with
+    closures (see :func:`enumerate_by_closure`) ends in a step from a closed
+    proper subgraph, a stored class, to C; the step adds more than one arc,
+    since C minus any one arc is not closed, and the child of the
+    representative arc is isomorphic to C, so it has no removable arc and is
+    accepted.
+    """
+    out: dict = {}
+    into: dict = {}
+    for d, c in closed:
+        out[d] = out.get(d, 0) | 1 << c
+        into[c] = into.get(c, 0) | 1 << d
+
+    def removable(d: int, c: int) -> bool:
+        return not out[d] & into[c] & ~(1 << d | 1 << c)
+
+    if len(closed) > n + 1:
+        return not any(removable(d, c) for d, c in closed)
+    ends = {}
+    for v in out.keys() | into.keys():
+        o = out.get(v, 0)
+        ends[v] = (o.bit_count(), into.get(v, 0).bit_count(), o >> v & 1)
+    top = ends[arc[0]] + ends[arc[1]]
+    return not any(
+        ends[d] + ends[c] > top and removable(d, c) for d, c in closed
+    )
+
+
 def one_more_arrow(arcs, m: int, added_object: bool = False) -> list:
     """Arcs addable to a transitively closed arc set on objects 0..m-1 such
     that the result is still transitively closed.
@@ -804,7 +855,14 @@ def enumerate_incremental(
     permutations (:func:`_extension_orbits`).  An automorphism sigma of the
     class sends the extension by arc e onto the extension by sigma(e), so
     the other arcs of an orbit give only isomorphic copies of a child
-    already offered, with the same arc and object counts.
+    already offered, with the same arc and object counts.  Of these, a
+    child is inserted only when its new arc is a canonical deletion
+    (:func:`_canonical_deletion`), which rejects most isomorphic copies
+    before any canonical form is computed.  No class is lost: every class
+    with at most INCREMENTAL_ARROW_LIMIT arcs has a removable arc, deleting the one of
+    largest key leaves a class of the previous row on no more objects,
+    which is stored, and the child of that class by the arc's orbit
+    representative is accepted.
     """
     _check_incremental_target(target_arrows)
     if max_objects is None:
@@ -816,9 +874,14 @@ def enumerate_incremental(
             f"{max_objects} objects"
         )
     covered = database.coverage(target_arrows)
-    for graph in database.classes(n_arcs=target_arrows - 1):
-        for _, closure, p in _extension_orbits(graph.arcs, graph.m, max_objects):
-            if covered < p <= max_objects and len(closure) == target_arrows:
+    n = target_arrows - 1
+    for graph in database.classes(n_arcs=n):
+        for arc, closure, p in _extension_orbits(graph.arcs, graph.m, max_objects):
+            if (
+                covered < p <= max_objects
+                and len(closure) == target_arrows
+                and _canonical_deletion(n, arc, closure)
+            ):
                 database.insert(ArrowTypeGraph(p, closure))
     database.mark_covered(target_arrows, max_objects)
     return database
@@ -847,8 +910,18 @@ def enumerate_by_closure(
     automorphism sigma of the class sends the closed extension by arc e
     onto the closed extension by sigma(e): the other arcs of an orbit give
     isomorphic children with the same arc and object counts, which the
-    database would find stored already.  The database and the frontier
-    order are therefore unchanged.
+    database would find stored already.  Of these, a child is inserted only
+    when its new arc is a canonical deletion (:func:`_canonical_deletion`),
+    which rejects most isomorphic copies before any canonical form is
+    computed.  The frontier then meets the classes in another order, but
+    stores the same ones, by induction on arcs.  A class with a removable
+    arc is accepted as the child of the class left by deleting its
+    removable arc of largest key; a class without one, as the last step of
+    rebuilding it arc by arc, which adds more than one arc.  Either parent
+    has fewer arcs and no more objects, so it is stored and passes through
+    the frontier: the frontier starts with every stored class and queues
+    each new class with fewer than max_arrows arcs, the only ones it
+    extends.
     """
     if max_objects is None:
         max_objects = 2 * max_arrows
@@ -857,11 +930,18 @@ def enumerate_by_closure(
     frontier = deque(database.classes())
     while frontier:
         graph = frontier.popleft()
-        if len(graph.arcs) >= max_arrows or graph.m > max_objects:
+        n = len(graph.arcs)
+        if n >= max_arrows or graph.m > max_objects:
             continue
-        for _, closed, p in _extension_orbits(graph.arcs, graph.m, max_objects):
+        for arc, closed, p in _extension_orbits(graph.arcs, graph.m, max_objects):
             k = len(closed)
-            if k <= max_arrows and p > cover[k] and database.insert(closed):
+            if (
+                k <= max_arrows
+                and p > cover[k]
+                and _canonical_deletion(n, arc, closed)
+                and database.insert(closed)
+                and k < max_arrows
+            ):
                 frontier.append(ArrowTypeGraph(p, closed))
     for k in range(1, max_arrows + 1):
         database.mark_covered(k, max_objects)

@@ -32,6 +32,7 @@ from sgpoidkit import (
     type_quotient_map,
 )
 from sgpoidkit.arrowtype import (
+    _canonical_deletion,
     _closed_extensions,
     _closure_arcs,
     _extension_orbits,
@@ -311,6 +312,43 @@ def test_extension_orbits_offer_every_child_class():
     assert skipped > 1000
 
 
+def _accepted_extensions(arcs, m):
+    return {
+        arc: closed
+        for arc, closed, _ in _closed_extensions(arcs, m, m + 2)
+        if _canonical_deletion(len(arcs), arc, closed)
+    }
+
+
+def test_canonical_deletion_is_relabeling_invariant():
+    # The filter reads only invariants of the pair (child, added arc), so
+    # relabeling the parent maps the accepted arcs onto the accepted arcs.
+    database = ClassDatabase()
+    enumerate_by_closure(database, 6)
+    classes = [g for g in database.classes() if g.arcs]
+    assert len(classes) == 2 + 7 + 21 + 70 + 218 + 721
+    rng = random.Random(14)
+    accepted = rejected = 0
+    for graph in classes:
+        arcs, m = graph.arcs, graph.m
+        kept = _accepted_extensions(arcs, m)
+        accepted += len(kept)
+        rejected += sum(1 for _ in _closed_extensions(arcs, m, m + 2)) - len(kept)
+        for _ in range(3):
+            labels = list(range(m))
+            rng.shuffle(labels)
+            labels += [m, m + 1]  # the fresh objects keep their labels
+
+            def move(arc):
+                return labels[arc[0]], labels[arc[1]]
+
+            relabeled = _accepted_extensions(frozenset(map(move, arcs)), m)
+            assert set(map(move, kept)) == set(relabeled), graph
+            for arc, closed in kept.items():
+                assert set(map(move, closed)) == relabeled[move(arc)]
+    assert accepted > 5000 and rejected > 20000
+
+
 def test_one_more_arrow_matches_closure_filtered_candidates():
     # Reference: the candidate orders spelled out, each kept when the
     # extended arc set passes the closure test.
@@ -513,12 +551,50 @@ def test_closure_method_rows_and_sums():
     assert database.count(4, 2) == 1
 
 
+STAGINGS = [
+    ("closure", 5, 3), ("incremental", 4, 2), ("brute", 3, 6), ("closure", 6, 4)
+]
+
+
+@pytest.fixture(scope="module")
+def brute_six():
+    database = ClassDatabase()
+    assert extend_census(database, "brute", 6)
+    return database
+
+
+@pytest.mark.parametrize("staging", STAGINGS, ids=lambda s: "%s-%d-%d" % s)
+def test_staged_extensions_match_brute_force(staging, brute_six):
+    # A database built by one method to fewer arcs or objects, extended to
+    # row 6 by closure or by the incremental method: the filtered children
+    # and the covered-row checks together still store every class once.
+    for method in ("closure", "incremental"):
+        database = ClassDatabase()
+        assert extend_census(database, *staging)
+        assert extend_census(database, method, 6)
+        for k in range(1, 7):
+            assert database.classes(k) == brute_six.classes(k), (method, k)
+        assert database.covers(6, 12)
+
+
+def test_row_eight_by_closure_and_incremental():
+    # 7,952 is the row sum the methods gave before they filtered children.
+    by_method = {}
+    for method in ("closure", "incremental"):
+        database = ClassDatabase()
+        assert extend_census(database, method, 8)
+        sums = [sum(row) for row in count_table(database, 8, 16)]
+        assert sums == [2, 7, 21, 70, 218, 721, 2360, 7952]
+        by_method[method] = database.classes()
+    assert by_method["closure"] == by_method["incremental"]
+
+
 # Transitive relations on k points, unlabeled (OEIS A091073; Pfeiffer,
 # "Counting transitive relations", J. Integer Seq. 7, 2004) and labeled
 # (OEIS A006905).  A relation is a closed graph on the points it touches
 # plus isolated points, so the classes on at most k objects count them.
-UNLABELED_TRANSITIVE = {1: 2, 2: 8, 3: 39, 4: 242, 5: 1895}
-LABELED_TRANSITIVE = {1: 2, 2: 13, 3: 171, 4: 3994}
+UNLABELED_TRANSITIVE = {1: 2, 2: 8, 3: 39, 4: 242, 5: 1895, 6: 19051}
+LABELED_TRANSITIVE = {1: 2, 2: 13, 3: 171, 4: 3994, 5: 154303}
 
 
 def _classes_on_at_most(k):
@@ -528,13 +604,15 @@ def _classes_on_at_most(k):
 
 
 @pytest.mark.parametrize(
-    "k", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+    "k",
+    [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow),
+     pytest.param(6, marks=pytest.mark.slow)],
 )
 def test_classes_on_at_most_k_objects_count_unlabeled_transitive_relations(k):
     assert len(_classes_on_at_most(k)) == UNLABELED_TRANSITIVE[k]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_classes_on_at_most_k_objects_count_labeled_transitive_relations(k):
     # A class on m objects has m!/|Aut G| labelings on each m of the k points.
     total = 0

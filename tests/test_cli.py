@@ -331,17 +331,18 @@ def test_arrowtypes_covered_rerun_only_loads(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, searches",
     [
-        (["--max-arrows", "7"], 20488),
-        (["--method", "incremental", "--max-arrows", "6"], 4544),
+        (["--max-arrows", "7"], 4536),
+        (["--method", "incremental", "--max-arrows", "6"], 1372),
     ],
     ids=["closure-7", "incremental-6"],
 )
 def test_arrowtypes_canonical_form_searches_are_pinned(
     argv, searches, tmp_path, capsys, monkeypatch
 ):
-    # One search per child offered, and each class is extended by one arc
-    # per orbit of its twin permutations: a count above these means the
-    # census canonicalises isomorphic children again.
+    # One search per child offered.  Each class is extended by one arc per
+    # orbit of its twin permutations, and a child is offered only when its
+    # new arc is a canonical deletion: a count above these means the census
+    # canonicalises isomorphic children again.
     import sgpoidkit.arrowtype as arrowtype
 
     calls = []
