@@ -222,10 +222,31 @@ def _extension_orbits(arcs: frozenset, m: int, max_objects: int) -> Iterator[tup
             yield extension
 
 
-def _canonical_deletion(n: int, arc: tuple, closed: frozenset) -> bool:
-    """True when the closed child of a parent with n arcs, extended by
+def _parent_masks(arcs: frozenset, m: int) -> tuple:
+    """What :func:`_canonical_deletion` reads of a closed parent on objects
+    0..m-1, built once for all its children: its arcs, the out- and
+    in-neighbour bitmasks of objects 0..m+1 (a child may add two fresh
+    objects) and the key (out-degree, in-degree, has-loop) of each."""
+    out = [0] * (m + 2)
+    into = [0] * (m + 2)
+    for d, c in arcs:
+        out[d] |= 1 << c
+        into[c] |= 1 << d
+    ends = [_end_key(out, into, v) for v in range(m + 2)]
+    return arcs, out, into, ends
+
+
+def _end_key(out: list, into: list, v: int) -> tuple:
+    o = out[v]
+    return o.bit_count(), into[v].bit_count(), o >> v & 1
+
+
+def _canonical_deletion(parent: tuple, arc: tuple, closed: frozenset) -> bool:
+    """True when ``closed``, the closed child of a parent extended by
     ``arc``, is to be offered to the database: a cheap isomorph rejection
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    ``parent`` is the parent's :func:`_parent_masks`; the child's masks are
+    the parent's with its new arcs added.
 
     An arc (d, c) of a closed arc set is removable when it is not the
     composite of two other arcs: no y outside {d, c} has (d, y) and (y, c)
@@ -252,21 +273,22 @@ def _canonical_deletion(n: int, arc: tuple, closed: frozenset) -> bool:
     representative arc is isomorphic to C, so it has no removable arc and is
     accepted.
     """
-    out: dict = {}
-    into: dict = {}
-    for d, c in closed:
-        out[d] = out.get(d, 0) | 1 << c
-        into[c] = into.get(c, 0) | 1 << d
+    arcs, out, into, ends = parent
+    single = len(closed) == len(arcs) + 1
+    out = out.copy()
+    into = into.copy()
+    for d, c in (arc,) if single else closed - arcs:
+        out[d] |= 1 << c
+        into[c] |= 1 << d
 
     def removable(d: int, c: int) -> bool:
         return not out[d] & into[c] & ~(1 << d | 1 << c)
 
-    if len(closed) > n + 1:
+    if not single:
         return not any(removable(d, c) for d, c in closed)
-    ends = {}
-    for v in out.keys() | into.keys():
-        o = out.get(v, 0)
-        ends[v] = (o.bit_count(), into.get(v, 0).bit_count(), o >> v & 1)
+    ends = ends.copy()
+    for v in arc:
+        ends[v] = _end_key(out, into, v)
     top = ends[arc[0]] + ends[arc[1]]
     return not any(
         ends[d] + ends[c] > top and removable(d, c) for d, c in closed
@@ -876,11 +898,12 @@ def enumerate_incremental(
     covered = database.coverage(target_arrows)
     n = target_arrows - 1
     for graph in database.classes(n_arcs=n):
+        parent = _parent_masks(graph.arcs, graph.m)
         for arc, closure, p in _extension_orbits(graph.arcs, graph.m, max_objects):
             if (
                 covered < p <= max_objects
                 and len(closure) == target_arrows
-                and _canonical_deletion(n, arc, closure)
+                and _canonical_deletion(parent, arc, closure)
             ):
                 database.insert(ArrowTypeGraph(p, closure))
     database.mark_covered(target_arrows, max_objects)
@@ -933,12 +956,13 @@ def enumerate_by_closure(
         n = len(graph.arcs)
         if n >= max_arrows or graph.m > max_objects:
             continue
+        parent = _parent_masks(graph.arcs, graph.m)
         for arc, closed, p in _extension_orbits(graph.arcs, graph.m, max_objects):
             k = len(closed)
             if (
                 k <= max_arrows
                 and p > cover[k]
-                and _canonical_deletion(n, arc, closed)
+                and _canonical_deletion(parent, arc, closed)
                 and database.insert(closed)
                 and k < max_arrows
             ):

@@ -6,13 +6,17 @@ of the second, and the composite applies the maps left to right.  This
 module generates such semigroupoids from generators, builds the full
 transformation semigroupoid over a closed graph with chosen per-type
 degrees, and finds transformation representations of abstract tables by
-embedding them into full ones.
+embedding them into full ones.  The embedding searches read a full
+target's products cell by cell, each worked out from arrow indices the
+first time it is read, so they never tabulate the whole target.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arrowtype import (
@@ -22,12 +26,15 @@ from .arrowtype import (
     is_transitively_closed,
 )
 from .errors import DomainError, ResourceLimitError
-from .morphisms import ArrowMap, find_injective_morphisms
+from .morphisms import ArrowMap, _morphism_solutions
 from .tables import NC, CompositionTable, is_associative, _NotComposable
 from .typestructure import minimal_objects, typing_orbits
 
-# Cost guard: composition-table cells of a full transformation target (T_5,
-# 3125 arrows, has 9.8 M; T_6 would have 2.2 G).
+# Cost guard: the composition-table cells a full transformation target
+# would have (T_5, 3125 arrows, has 9.8 M; T_6 would have 2.2 G).  Embedding
+# searches compute only the cells they read, so the guard bounds the arrows
+# a target lists and the whole table that ``FullTransformationSgpoid.table``
+# builds on request; a target past it is refused before any arrow is made.
 FULL_TABLE_CELL_LIMIT = 10**7
 
 
@@ -165,19 +172,36 @@ def generate(
 
 @dataclass(frozen=True)
 class FullTransformationSgpoid:
-    """All total maps along every arc of a closed graph."""
+    """All total maps along every arc of a closed graph.
+
+    ``products`` is the composition grid that the embedding searches read:
+    one row per arrow, whose cells are worked out when first read and then
+    kept.  ``table`` is the whole composition table, built on first use.
+    Both follow the index arithmetic of :func:`full_transformation_sgpoid`
+    and hold the same values.
+    """
 
     degrees: tuple
     graph: ArrowTypeGraph
     arrows: tuple
-    table: CompositionTable
+
+    @cached_property
+    def products(self) -> tuple:
+        offset = _arc_layout(self.degrees, self.graph)[0]
+        return tuple(
+            _ProductRow(self.arrows, self.degrees, offset, a) for a in self.arrows
+        )
+
+    @cached_property
+    def table(self) -> CompositionTable:
+        return _full_table(self.degrees, self.graph, self.arrows)
 
 
 def full_transformation_arrows(
     degrees: Sequence[int], graph: ArrowTypeGraph
 ) -> tuple:
-    """The arrows of :func:`full_transformation_sgpoid`, in the same order,
-    without building the composition table; refused in the same cases."""
+    """The arrows of :func:`full_transformation_sgpoid`, in the same order;
+    refused in the same cases."""
     degrees = _checked_degrees(degrees)
     if graph.m != len(degrees):
         raise DomainError("degree list length does not match the object count")
@@ -196,10 +220,9 @@ def full_transformation_arrows(
     )
 
 
-def _full_table(
-    degrees: tuple, graph: ArrowTypeGraph, arrows: tuple
-) -> CompositionTable:
-    # Composition by index arithmetic; see full_transformation_sgpoid.
+def _arc_layout(degrees: tuple, graph: ArrowTypeGraph) -> tuple:
+    # The index of each arc's first arrow, the heads of the arcs out of each
+    # object in sorted order, and the arrow count.
     offset = {}
     outgoing: dict = {}
     n = 0
@@ -207,6 +230,58 @@ def _full_table(
         offset[(d, c)] = n
         outgoing.setdefault(d, []).append(c)
         n += degrees[c] ** degrees[d]
+    return offset, outgoing, n
+
+
+def _composite_weights(f: tuple, width: int, base: int) -> list:
+    # W_y for y < width: the index weight of g[y] in g∘f, for maps g into a
+    # type of degree ``base``; see full_transformation_sgpoid.
+    weights = [0] * width
+    place = 1
+    for y in reversed(f):
+        weights[y] += place
+        place *= base
+    return weights
+
+
+class _ProductRow(dict):
+    """Row of a full target's composition grid for one arrow (d, c, f):
+    cell j is worked out when first read, then kept.  The offset and the
+    weights of f are computed once per codomain type of the arrows that f
+    meets."""
+
+    __slots__ = ("_arrows", "_degrees", "_offset", "_dom", "_cod", "_map", "_terms")
+
+    def __init__(self, arrows, degrees, offset, arrow) -> None:
+        super().__init__()
+        self._arrows = arrows
+        self._degrees = degrees
+        self._offset = offset
+        self._dom, self._cod, self._map = arrow.dom, arrow.cod, arrow.map
+        self._terms: dict = {}
+
+    def __missing__(self, j: int):
+        b = self._arrows[j]
+        if b.dom != self._cod:
+            value = NC
+        else:
+            terms = self._terms.get(b.cod)
+            if terms is None:
+                e = b.cod
+                weights = _composite_weights(
+                    self._map, self._degrees[self._cod], self._degrees[e]
+                )
+                terms = self._terms[e] = (self._offset[(self._dom, e)], weights)
+            value = terms[0] + sum(map(operator.mul, b.map, terms[1]))
+        self[j] = value
+        return value
+
+
+def _full_table(
+    degrees: tuple, graph: ArrowTypeGraph, arrows: tuple
+) -> CompositionTable:
+    # Composition by index arithmetic; see full_transformation_sgpoid.
+    offset, outgoing, n = _arc_layout(degrees, graph)
     # Columns with domain c are contiguous: pad them with NC on both sides.
     pads = {}
     for c, targets in outgoing.items():
@@ -226,14 +301,9 @@ def _full_table(
         row = list(before)
         for e in outgoing[c]:
             base = degrees[e]
-            weights = [0] * degrees[c]
-            place = 1
-            for y in reversed(f):
-                weights[y] += place
-                place *= base
             # Expand one digit g[y] at a time, in product order of g.
             ranks = [offset[(d, e)]]
-            for w in weights:
+            for w in _composite_weights(f, degrees[c], base):
                 steps = [v * w for v in range(base)]
                 ranks = [r + s for r in ranks for s in steps]
             row.extend(map(index.__getitem__, ranks))
@@ -245,25 +315,23 @@ def _full_table(
 def full_transformation_sgpoid(
     degrees: Sequence[int], graph: ArrowTypeGraph
 ) -> FullTransformationSgpoid:
-    """Build the full transformation semigroupoid for per-type degrees d and
-    a transitively closed graph: d[c]**d[d] arrows per arc (d, c).
+    """The full transformation semigroupoid for per-type degrees d and a
+    transitively closed graph: d[c]**d[d] arrows per arc (d, c).
 
     Arrows are listed arc by arc in ``graph.sorted_arcs`` order and, within
     arc (d, c), in ``itertools.product(range(deg[c]), repeat=deg[d])``
     order, so map f has index ``offset[(d, c)] + sum_x f[x] *
-    deg[c]**(deg[d]-1-x)``.  The table is built from indices alone: (d, c,
-    f) then (c, e, g) is (d, e, g∘f), whose index is ``offset[(d, e)] +
+    deg[c]**(deg[d]-1-x)``.  Products come from indices alone: (d, c, f)
+    then (c, e, g) is (d, e, g∘f), whose index is ``offset[(d, e)] +
     sum_y g[y] * W_y`` with ``W_y = sum_{x: f[x]=y} deg[e]**(deg[d]-1-x)``.
     Pairs whose types do not meet are NC.  :func:`derive_table` on the same
-    arrows gives the same table, one composite at a time.  Targets whose
-    table would exceed FULL_TABLE_CELL_LIMIT cells are refused before
-    anything is built.
+    arrows gives the same table, one composite at a time.  Only the arrows
+    are built here; products are computed as they are read (see
+    :class:`FullTransformationSgpoid`).  Targets whose table would exceed
+    FULL_TABLE_CELL_LIMIT cells are refused before anything is built.
     """
     arrows = full_transformation_arrows(degrees, graph)
-    degrees = tuple(degrees)
-    return FullTransformationSgpoid(
-        degrees, graph, arrows, _full_table(degrees, graph, arrows)
-    )
+    return FullTransformationSgpoid(tuple(degrees), graph, arrows)
 
 
 def embed(
@@ -271,11 +339,14 @@ def embed(
     target: FullTransformationSgpoid,
     strict: bool = False,
 ) -> Iterator[ArrowMap]:
-    """Injective morphisms from an abstract table into the derived table of
-    a full transformation semigroupoid.  The abstract table is expected to
-    be a semigroupoid for strict embeddings to exist; this is not enforced,
-    and permissive mode is meaningful without it."""
-    return find_injective_morphisms(abstract, target.table, strict=strict)
+    """Injective morphisms from an abstract table into the composition
+    table of a full transformation semigroupoid, in lexicographic order of
+    their image vectors.  The search reads ``target.products``, so only the
+    cells it tests are computed.  The abstract table is expected to be a
+    semigroupoid for strict embeddings to exist; this is not enforced, and
+    permissive mode is meaningful without it."""
+    search = _morphism_solutions(abstract.entries, target.products, strict, True)
+    return (ArrowMap(abstract.n, len(target.arrows), images) for images in search)
 
 
 def _degree_vectors(total: int, parts: int) -> Iterator[tuple]:

@@ -36,6 +36,7 @@ from sgpoidkit.arrowtype import (
     _closed_extensions,
     _closure_arcs,
     _extension_orbits,
+    _parent_masks,
     seed,
 )
 
@@ -313,10 +314,11 @@ def test_extension_orbits_offer_every_child_class():
 
 
 def _accepted_extensions(arcs, m):
+    parent = _parent_masks(arcs, m)
     return {
         arc: closed
         for arc, closed, _ in _closed_extensions(arcs, m, m + 2)
-        if _canonical_deletion(len(arcs), arc, closed)
+        if _canonical_deletion(parent, arc, closed)
     }
 
 

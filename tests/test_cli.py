@@ -532,6 +532,34 @@ def test_represent_explicit_target(tmp_path, six_arrow, capsys):
     ) == 1
 
 
+# stdout digests (exit code, SHA-256) of `represent --graph` on one loop
+# with --degrees 4 (the 256-arrow T_4), recorded while the target's whole
+# table was still built before the search.
+T4_GRAPH_OUTPUT = {
+    ("null3", False): (0, "7450833fb49817a9ee12fd010c1f7a61163f00c9bce4840c776d51fd2f8e78b1"),
+    ("z2", False): (0, "79b9119a0fdb655c09614d4f3fb0fce3aee8ab028d37aee9c8dfa21c9a27cf62"),
+    ("flip-flop", False): (0, "41fa525db8a57d72e81643a3bee04693388cd9775d5edcef7e1f38c91396d0ed"),
+    ("six-arrow", False): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("six-arrow", True): (0, "77d81009d8fbf40db45b9998f8c3034d883558fbc98bcb5a5c7e2444db0777e1"),
+}
+
+
+@pytest.mark.parametrize("name, permissive", sorted(T4_GRAPH_OUTPUT))
+def test_represent_on_t4_is_unchanged(name, permissive, tmp_path, capsys, request):
+    tables = {
+        "null3": {"entries": [[0] * 3] * 3},
+        "z2": request.getfixturevalue("z2").to_json(),
+        "flip-flop": request.getfixturevalue("ff").to_json(),
+        "six-arrow": request.getfixturevalue("six_arrow").to_json(),
+    }
+    table = _write(tmp_path / "t.json", tables[name])
+    graph = _write(tmp_path / "loop.json", {"m": 1, "arcs": [[0, 0]]})
+    argv = ["represent", table, "--graph", graph, "--degrees", "4"]
+    code = run(argv + ["--permissive"] * permissive)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == T4_GRAPH_OUTPUT[name, permissive]
+
+
 def test_emitted_json_round_trips_between_subcommands(tmp_path, capsys):
     # Tables printed by enumerate-tables are accepted by check.
     assert run(["enumerate-tables", "--size", "2", "--allow-nc"]) == 0

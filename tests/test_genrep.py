@@ -1,6 +1,11 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
+
+from sgpoidkit import genrep
 
 from sgpoidkit import (
     NC,
@@ -14,6 +19,7 @@ from sgpoidkit import (
     compose_arrows,
     derive_table,
     embed,
+    enumerate_associative_tables,
     enumerate_by_closure,
     find_morphisms,
     full_transformation_arrows,
@@ -21,6 +27,7 @@ from sgpoidkit import (
     generate,
     is_associative,
     is_semigroupoid,
+    minimal_objects,
     minimal_representation,
     validate_arrow,
 )
@@ -157,21 +164,84 @@ def _closed_graphs(max_objects):
     return [g for g in enumerate_by_closure(ClassDatabase(), m * m, m).classes() if g.m]
 
 
-def test_full_table_matches_derive_table_on_all_small_targets():
+def _small_targets():
     # Every closed graph on up to 3 objects, every degree vector up to 5
-    # states in total; T_5 (3125 arrows) is checked on every 31st row.
+    # states in total.
     for graph in _closed_graphs(3):
         for total in range(graph.m, 6):
             for degrees in _degree_vectors(total, graph.m):
-                target = full_transformation_sgpoid(degrees, graph)
-                arrows = target.arrows
-                if len(arrows) < 1000:
-                    assert target.table == derive_table(arrows)
-                    continue
-                index = {arrow: i for i, arrow in enumerate(arrows)}
-                for i in range(0, len(arrows), 31):
-                    expected = _composed_row(arrows, index, arrows[i])
-                    assert target.table.entries[i] == expected
+                yield full_transformation_sgpoid(degrees, graph)
+
+
+def _expected_rows(target):
+    # Row i of derive_table, for every row below 1000 arrows and for every
+    # 31st row of T_5 (3125 arrows).
+    arrows = target.arrows
+    if len(arrows) < 1000:
+        return dict(enumerate(derive_table(arrows).entries))
+    index = {arrow: i for i, arrow in enumerate(arrows)}
+    return {
+        i: _composed_row(arrows, index, arrows[i]) for i in range(0, len(arrows), 31)
+    }
+
+
+def test_full_table_matches_derive_table_on_all_small_targets():
+    for target in _small_targets():
+        for i, expected in _expected_rows(target).items():
+            assert target.table.entries[i] == expected
+
+
+def test_lazy_products_match_derive_table_on_all_small_targets():
+    # The cells are read in a seeded random order, so a cell computed
+    # early never depends on its neighbours having been read first.
+    rng = random.Random(15)
+    for target in _small_targets():
+        rows = _expected_rows(target)
+        cells = [(i, j) for i in rows for j in range(len(target.arrows))]
+        rng.shuffle(cells)
+        products = target.products
+        assert len(products) == len(target.arrows)
+        for i, j in cells:
+            value = products[i][j]
+            assert value == rows[i][j] and (value is NC) == (rows[i][j] is NC)
+        assert products == tuple(
+            dict(enumerate(rows[i])) if i in rows else {} for i in range(len(products))
+        )
+        assert "table" not in vars(target)  # the products never built it
+
+
+def test_minimal_representation_computes_few_cells(monkeypatch):
+    # The 3-arrow null semigroup is tried on T_2, T_3 and T_4 and embeds in
+    # T_4; the searches compute 709 cells, where the three tables hold
+    # 16 + 729 + 65,536.
+    built = []
+    build = genrep.full_transformation_sgpoid
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(genrep, "full_transformation_sgpoid", recording_build)
+    graph, degrees, amap = minimal_representation(CompositionTable(((0,) * 3,) * 3))
+    assert (degrees, amap.images) == ((4,), (0, 1, 2))
+    assert [len(t.arrows) for t in built] == [4, 27, 256]
+    cells = [sum(map(len, t.products)) for t in built]
+    assert cells == [13, 302, 394]
+    assert all("table" not in vars(t) for t in built)
+
+
+def test_minimal_representations_are_unchanged():
+    # Every typable associative table on 3 arrows, NC allowed; the digest
+    # was recorded while every target's whole table was still built first.
+    records = []
+    for table in enumerate_associative_tables(3, allow_nc=True):
+        if minimal_objects(table) is None:
+            continue
+        graph, degrees, amap = minimal_representation(table)
+        records.append([graph.to_json(), list(degrees), list(amap.images)])
+    assert len(records) == 271
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "f1b593799c1294d242f416354a9f778a1553fe13200248478d72791a2e22a730"
 
 
 @pytest.mark.parametrize(

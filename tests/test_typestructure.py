@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from sgpoidkit import (
     CompositionTable,
     DomainError,
     TypeStructure,
+    associative_table_orbits,
     infer_types,
     is_associative,
     is_semigroupoid,
@@ -228,6 +230,31 @@ def test_independence_found_by_enumeration(
             associative_only.append(table)
     assert typable_not_associative in typable_only
     assert associative_not_typable in associative_only
+
+
+# Semigroupoids of n arrows up to isomorphism: the associative classes
+# with NC allowed that have a typing, by their minimal object count.
+SEMIGROUPOID_CENSUS = {
+    1: {1: 1, 2: 1},
+    2: {1: 5, 2: 4, 3: 1},
+    3: {1: 24, 2: 21, 3: 12, 4: 1},
+    4: {1: 188, 2: 135, 3: 86, 4: 14, 5: 1},
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEMIGROUPOID_CENSUS))
+def test_semigroupoid_census(n):
+    classes = list(associative_table_orbits(n, allow_nc=True))
+    assert len(classes) == [2, 12, 90, 960][n - 1]
+    by_objects = Counter(
+        m for m in map(minimal_objects, (t for t, _ in classes)) if m is not None
+    )
+    assert dict(by_objects) == SEMIGROUPOID_CENSUS[n]
+    assert sum(by_objects.values()) == [2, 10, 58, 424][n - 1]
+    # One object types exactly the tables without NC: the semigroups
+    # (OEIS A027851), counted again by the NC-free orbits.
+    assert by_objects[1] == [1, 5, 24, 188][n - 1]
+    assert by_objects[1] == sum(1 for _ in associative_table_orbits(n))
 
 
 def test_matches_oracle_on_random_tables():
