@@ -6,9 +6,9 @@ of the second, and the composite applies the maps left to right.  This
 module generates such semigroupoids from generators, builds the full
 transformation semigroupoid over a closed graph with chosen per-type
 degrees, and finds transformation representations of abstract tables by
-embedding them into full ones.  The embedding searches read a full
-target's products cell by cell, each worked out from arrow indices the
-first time it is read, so they never tabulate the whole target.
+embedding them into full ones.  A full target lists only its arrows; its
+products are worked out from arrow indices one cell at a time, the first
+time each is read, and its whole table is never built.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from .tables import NC, CompositionTable, is_associative, _NotComposable
 from .typestructure import minimal_objects, typing_orbits
 
 # Cost guard: the composition-table cells a full transformation target
-# would have (T_5, 3125 arrows, has 9.8 M; T_6 would have 2.2 G).  Embedding
-# searches compute only the cells they read, so the guard bounds the arrows
-# a target lists and the whole table that ``FullTransformationSgpoid.table``
-# builds on request; a target past it is refused before any arrow is made.
+# would have (T_5, 3125 arrows, has 9.8 M; T_6 would have 2.2 G).  No table
+# is built, so the guard bounds the arrows a target lists, 3162 at most; a
+# target past it is refused before any arrow is made.
 FULL_TABLE_CELL_LIMIT = 10**7
 
 
@@ -65,6 +64,9 @@ class TransformationArrow:
                 raise DomainError(f"{key} {data[key]!r} is not an integer")
         if not isinstance(data["map"], list):
             raise DomainError("map must be a list of states")
+        for value in data["map"]:
+            if type(value) is not int:
+                raise DomainError(f"state {value!r} is not an integer")
         return cls(data["dom"], data["cod"], tuple(data["map"]))
 
 
@@ -175,10 +177,8 @@ class FullTransformationSgpoid:
     """All total maps along every arc of a closed graph.
 
     ``products`` is the composition grid that the embedding searches read:
-    one row per arrow, whose cells are worked out when first read and then
-    kept.  ``table`` is the whole composition table, built on first use.
-    Both follow the index arithmetic of :func:`full_transformation_sgpoid`
-    and hold the same values.
+    one row per arrow, whose cells are worked out by the index arithmetic
+    of :func:`full_transformation_sgpoid` when first read, then kept.
     """
 
     degrees: tuple
@@ -187,14 +187,15 @@ class FullTransformationSgpoid:
 
     @cached_property
     def products(self) -> tuple:
-        offset = _arc_layout(self.degrees, self.graph)[0]
+        # The index of each arc's first arrow.
+        offset = {}
+        n = 0
+        for d, c in self.graph.sorted_arcs:
+            offset[(d, c)] = n
+            n += self.degrees[c] ** self.degrees[d]
         return tuple(
             _ProductRow(self.arrows, self.degrees, offset, a) for a in self.arrows
         )
-
-    @cached_property
-    def table(self) -> CompositionTable:
-        return _full_table(self.degrees, self.graph, self.arrows)
 
 
 def full_transformation_arrows(
@@ -218,19 +219,6 @@ def full_transformation_arrows(
         for d, c in graph.sorted_arcs
         for mapping in itertools.product(range(degrees[c]), repeat=degrees[d])
     )
-
-
-def _arc_layout(degrees: tuple, graph: ArrowTypeGraph) -> tuple:
-    # The index of each arc's first arrow, the heads of the arcs out of each
-    # object in sorted order, and the arrow count.
-    offset = {}
-    outgoing: dict = {}
-    n = 0
-    for d, c in graph.sorted_arcs:
-        offset[(d, c)] = n
-        outgoing.setdefault(d, []).append(c)
-        n += degrees[c] ** degrees[d]
-    return offset, outgoing, n
 
 
 def _composite_weights(f: tuple, width: int, base: int) -> list:
@@ -277,41 +265,6 @@ class _ProductRow(dict):
         return value
 
 
-def _full_table(
-    degrees: tuple, graph: ArrowTypeGraph, arrows: tuple
-) -> CompositionTable:
-    # Composition by index arithmetic; see full_transformation_sgpoid.
-    offset, outgoing, n = _arc_layout(degrees, graph)
-    # Columns with domain c are contiguous: pad them with NC on both sides.
-    pads = {}
-    for c, targets in outgoing.items():
-        lo = offset[(c, targets[0])]
-        hi = lo + sum(degrees[e] ** degrees[c] for e in targets)
-        pads[c] = ((NC,) * lo, (NC,) * (n - hi))
-    empty = (NC,) * n
-    # Cells share these int objects instead of each holding a fresh one.
-    index = list(range(n))
-    rows = []
-    for a in arrows:
-        d, c, f = a.dom, a.cod, a.map
-        if c not in pads:
-            rows.append(empty)
-            continue
-        before, after = pads[c]
-        row = list(before)
-        for e in outgoing[c]:
-            base = degrees[e]
-            # Expand one digit g[y] at a time, in product order of g.
-            ranks = [offset[(d, e)]]
-            for w in _composite_weights(f, degrees[c], base):
-                steps = [v * w for v in range(base)]
-                ranks = [r + s for r in ranks for s in steps]
-            row.extend(map(index.__getitem__, ranks))
-        row.extend(after)
-        rows.append(tuple(row))
-    return CompositionTable(tuple(rows))
-
-
 def full_transformation_sgpoid(
     degrees: Sequence[int], graph: ArrowTypeGraph
 ) -> FullTransformationSgpoid:
@@ -326,9 +279,10 @@ def full_transformation_sgpoid(
     sum_y g[y] * W_y`` with ``W_y = sum_{x: f[x]=y} deg[e]**(deg[d]-1-x)``.
     Pairs whose types do not meet are NC.  :func:`derive_table` on the same
     arrows gives the same table, one composite at a time.  Only the arrows
-    are built here; products are computed as they are read (see
-    :class:`FullTransformationSgpoid`).  Targets whose table would exceed
-    FULL_TABLE_CELL_LIMIT cells are refused before anything is built.
+    are built here; each product is computed when first read (see
+    :class:`FullTransformationSgpoid`), and no whole table is ever built.
+    Targets whose table would have more than FULL_TABLE_CELL_LIMIT cells
+    are refused before any arrow is made.
     """
     arrows = full_transformation_arrows(degrees, graph)
     return FullTransformationSgpoid(tuple(degrees), graph, arrows)

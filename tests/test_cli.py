@@ -503,6 +503,18 @@ def test_represent_oversized_target_exits_three(tmp_path, capsys):
     assert "46656 arrows" in err and "2176782336 table cells" in err
 
 
+@pytest.mark.parametrize("permissive", [False, True])
+def test_represent_largest_allowed_target(permissive, tmp_path, capsys):
+    # T_5, 3125 arrows and 9.8 M table cells, is the largest target the
+    # guard accepts; the search reads only the cells it tests.
+    table = _write(tmp_path / "t.json", {"entries": [[0] * 3] * 3})
+    graph = _write(tmp_path / "loop.json", {"m": 1, "arcs": [[0, 0]]})
+    argv = ["represent", table, "--graph", graph, "--degrees", "5"]
+    assert run(argv + ["--permissive"] * permissive) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["degrees"], payload["images"]) == ([5], [0, 1, 2])
+
+
 @pytest.mark.parametrize("degrees", ["2,x", ","])
 def test_represent_refuses_non_integer_degrees(degrees, tmp_path, capsys):
     table = _write(tmp_path / "z.json", {"n": 1, "entries": [[0]]})
@@ -655,6 +667,11 @@ DB_ARGV = ["arrowtypes", "--max-arrows", "2", "--db", "db"]
         (
             "gens.json",
             {"degrees": [2], "generators": [[0, 0, [1, 0]]]},
+            ["generate", "gens.json"],
+        ),
+        (
+            "gens.json",
+            {"degrees": [2], "generators": [{"dom": 0, "cod": 0, "map": [True, False]}]},
             ["generate", "gens.json"],
         ),
     ],
