@@ -5,10 +5,12 @@ digraph that is transitively closed, has at most one arc per ordered pair
 and no isolated object.  This module enumerates the isomorphism classes of
 such graphs by three independent methods (combinatorial brute force,
 single-arc extension, single-arc extension followed by transitive closure)
-and keeps class representatives in a database keyed by canonical form:
-the lexicographically least relabeling, found by a search that branches
-only on tied arcs and skips branches an automorphism maps onto explored
-ones.
+and keeps class representatives in a database keyed by canonical form: the
+lexicographically least relabeling, found by a search that branches only
+on tied arcs and skips branches an automorphism maps onto explored ones.
+Both extension methods run one row step in ascending row order; it adds
+one arc to every stored class of a row, closes the result, and inserts
+the children that pass a canonical-deletion filter.
 
 Node sets are always derived from the arcs themselves, never from
 positions, so an "isolated node" simply cannot be expressed; this avoids
@@ -257,21 +259,8 @@ def _canonical_deletion(parent: tuple, arc: tuple, closed: frozenset) -> bool:
     that closure left at n + 1 arcs is accepted when no removable arc of it
     has a larger key than the added arc, which is removable itself.  A child
     whose closure added more arcs is accepted when it has no removable arc.
-    Ties are let through; the database still deduplicates exactly.
-
-    No class is lost.  Let C have a removable arc, and e* one with the
-    largest key.  C - e* is closed, with fewer arcs and no more objects, so
-    its class is stored.  An isomorphism from C - e* onto the stored form,
-    followed by the twin permutation that takes the image of e* to its
-    orbit's representative e' (see :func:`_extension_orbits`), is an
-    isomorphism from C onto the child by e' that takes e* to e'.  So e' is
-    removable with the largest key in its child, and that child is
-    accepted.  Let C have no removable arc.  Rebuilding C arc by arc with
-    closures (see :func:`enumerate_by_closure`) ends in a step from a closed
-    proper subgraph, a stored class, to C; the step adds more than one arc,
-    since C minus any one arc is not closed, and the child of the
-    representative arc is isomorphic to C, so it has no removable arc and is
-    accepted.
+    Ties are let through; the database still deduplicates exactly.  Why no
+    class is lost is argued at :func:`_extend_row`.
     """
     arcs, out, into, ends = parent
     single = len(closed) == len(arcs) + 1
@@ -723,11 +712,7 @@ class ClassDatabase:
             if not isinstance(classes, list):
                 raise DomainError(f"{bucket_file}: classes must be a list of arc lists")
             for arcs in classes:
-                arcs = _arcs_from_json(arcs)
-                if arcs:
-                    database.insert(ArrowTypeGraph.from_arcs(arcs))
-                else:
-                    database.insert(ArrowTypeGraph(0, frozenset()))
+                database.insert(_arcs_from_json(arcs))
         meta_file = directory / "meta.json"
         if meta_file.exists():
             meta = json.loads(meta_file.read_text())
@@ -746,7 +731,7 @@ class ClassDatabase:
 def seed(database: ClassDatabase) -> ClassDatabase:
     """Ensure the empty graph class is present (the only 0-arc class)."""
     if not database.count(0, 0):
-        database.insert(ArrowTypeGraph(0, frozenset()))
+        database.insert(frozenset())
     database.complete_arrows = max(database.complete_arrows, 0)
     return database
 
@@ -858,6 +843,50 @@ def _check_incremental_target(target_arrows: int) -> None:
         )
 
 
+def _extend_row(
+    database: ClassDatabase, n: int, max_arrows: int, max_objects: int, cover: list
+) -> None:
+    """Insert the closed one-arc extensions of every stored class with n
+    arcs on at most max_objects objects, keeping those with at most
+    max_arrows arcs that lie past their row's coverage: a child with k
+    arcs on p objects is skipped when p <= cover[k], as it is stored.
+
+    Each class is extended by one arc per orbit of its twin permutations
+    (:func:`_extension_orbits`).  Closure commutes with relabeling, so an
+    automorphism sigma of the class sends the closed extension by arc e
+    onto the closed extension by sigma(e): the other arcs of an orbit give
+    isomorphic children with the same arc and object counts.  Of the
+    children left, one is inserted only when its new arc is a canonical
+    deletion (:func:`_canonical_deletion`), which rejects most isomorphic
+    copies before any canonical form is computed.
+
+    No class is lost when every row is stored in full, up to max_objects
+    objects, by the time it is extended.  Let C be a closed graph on at
+    most max_objects objects with at most max_arrows arcs, past its row's
+    coverage.  Let C have a removable arc, and e* one with the largest key.
+    C - e* is closed, with one arc fewer and no more objects, so its class
+    is stored when its row is extended.  An isomorphism from C - e* onto the
+    stored form, followed by the twin permutation that takes the image of
+    e* to its orbit's representative e', is an isomorphism from C onto the
+    child by e' that takes e* to e'.  So e' is removable with the largest
+    key in its child, and that child is accepted.  Let C have no removable
+    arc.  Rebuilding C arc by arc, closing after each arc, stays inside C,
+    so within both bounds, and ends in a step from a closed proper
+    subgraph, a stored class, to C.  That step adds more than one arc,
+    since C minus any one arc is not closed, and the child of the
+    representative arc is isomorphic to C, so it has no removable arc and
+    is accepted.
+    """
+    for graph in database.classes(n_arcs=n):
+        if graph.m > max_objects:
+            continue
+        parent = _parent_masks(graph.arcs, graph.m)
+        for arc, closed, p in _extension_orbits(graph.arcs, graph.m, max_objects):
+            k = len(closed)
+            if k <= max_arrows and p > cover[k] and _canonical_deletion(parent, arc, closed):
+                database.insert(closed)
+
+
 def enumerate_incremental(
     database: ClassDatabase, target_arrows: int, max_objects: Optional[int] = None
 ) -> ClassDatabase:
@@ -865,26 +894,16 @@ def enumerate_incremental(
     max_objects objects (all objects by default) with every class on at
     most max_objects objects reachable by one new arc: between existing
     objects, touching one fresh object, or as a detached arc on two fresh
-    objects.  Classes the row already covers are not inserted again.
+    objects.  This is one :func:`_extend_row` step on row target_arrows-1,
+    whose children with target_arrows arcs are its one-arc extensions.
 
     Classes in which every arc is forced by a two-step path (the complete
     graph on three or more objects is the smallest, at nine arcs) are not
     reachable this way, so targets past INCREMENTAL_ARROW_LIMIT are
-    refused; below that threshold the method is exhaustive, which the
-    cross-method tests confirm through row 7.
-
-    Each stored class is extended by one arc per orbit of its twin
-    permutations (:func:`_extension_orbits`).  An automorphism sigma of the
-    class sends the extension by arc e onto the extension by sigma(e), so
-    the other arcs of an orbit give only isomorphic copies of a child
-    already offered, with the same arc and object counts.  Of these, a
-    child is inserted only when its new arc is a canonical deletion
-    (:func:`_canonical_deletion`), which rejects most isomorphic copies
-    before any canonical form is computed.  No class is lost: every class
-    with at most INCREMENTAL_ARROW_LIMIT arcs has a removable arc, deleting the one of
-    largest key leaves a class of the previous row on no more objects,
-    which is stored, and the child of that class by the arc's orbit
-    representative is accepted.
+    refused.  Below that threshold every class has a removable arc, whose
+    deletion leaves a class of the covered row target_arrows-1, so the
+    argument at :func:`_extend_row` shows the method exhaustive; the
+    cross-method tests confirm it through row 8.
     """
     _check_incremental_target(target_arrows)
     if max_objects is None:
@@ -895,17 +914,8 @@ def enumerate_incremental(
             f"database does not cover {target_arrows - 1} arcs on up to "
             f"{max_objects} objects"
         )
-    covered = database.coverage(target_arrows)
-    n = target_arrows - 1
-    for graph in database.classes(n_arcs=n):
-        parent = _parent_masks(graph.arcs, graph.m)
-        for arc, closure, p in _extension_orbits(graph.arcs, graph.m, max_objects):
-            if (
-                covered < p <= max_objects
-                and len(closure) == target_arrows
-                and _canonical_deletion(parent, arc, closure)
-            ):
-                database.insert(ArrowTypeGraph(p, closure))
+    cover = [-1] + [database.coverage(k) for k in range(1, target_arrows + 1)]
+    _extend_row(database, target_arrows - 1, target_arrows, max_objects, cover)
     database.mark_covered(target_arrows, max_objects)
     return database
 
@@ -915,58 +925,23 @@ def enumerate_by_closure(
     max_arrows: int,
     max_objects: Optional[int] = None,
 ) -> ClassDatabase:
-    """Grow the database to every class with at most max_arrows arcs by
-    adding one arc to a stored class and taking the transitive closure.
+    """Grow the database to every class with at most max_arrows arcs on at
+    most max_objects objects by adding one arc to a stored class and taking
+    the transitive closure: one :func:`_extend_row` step on each row
+    0..max_arrows-1, in ascending order.  Closing can add several arcs at
+    once, which jumps the gaps the purely additive method cannot cross.
 
-    Closing can add several arcs at once, which jumps the gaps the purely
-    additive method cannot cross.  Any closed graph is rebuilt arc by arc
-    this way: intermediate closures stay inside the final graph, so the
-    limits are never exceeded along the way.
-
-    Stored classes on more than max_objects objects are not extended, so
-    no class beyond the bound is stored.  A closure the database already
-    covers is not inserted: it is stored, and so it was in the frontier
-    from the start.
-
-    Each class is extended by one arc per orbit of its twin permutations
-    (:func:`_extension_orbits`).  Closure commutes with relabeling, so an
-    automorphism sigma of the class sends the closed extension by arc e
-    onto the closed extension by sigma(e): the other arcs of an orbit give
-    isomorphic children with the same arc and object counts, which the
-    database would find stored already.  Of these, a child is inserted only
-    when its new arc is a canonical deletion (:func:`_canonical_deletion`),
-    which rejects most isomorphic copies before any canonical form is
-    computed.  The frontier then meets the classes in another order, but
-    stores the same ones, by induction on arcs.  A class with a removable
-    arc is accepted as the child of the class left by deleting its
-    removable arc of largest key; a class without one, as the last step of
-    rebuilding it arc by arc, which adds more than one arc.  Either parent
-    has fewer arcs and no more objects, so it is stored and passes through
-    the frontier: the frontier starts with every stored class and queues
-    each new class with fewer than max_arrows arcs, the only ones it
-    extends.
+    Every child has more arcs than its parent, so each row is complete
+    before it is extended, and each stored class is extended once.  Stored
+    classes on more than max_objects objects are not extended, so no class
+    beyond the bound is stored.
     """
     if max_objects is None:
         max_objects = 2 * max_arrows
     seed(database)
     cover = [-1] + [database.coverage(k) for k in range(1, max_arrows + 1)]
-    frontier = deque(database.classes())
-    while frontier:
-        graph = frontier.popleft()
-        n = len(graph.arcs)
-        if n >= max_arrows or graph.m > max_objects:
-            continue
-        parent = _parent_masks(graph.arcs, graph.m)
-        for arc, closed, p in _extension_orbits(graph.arcs, graph.m, max_objects):
-            k = len(closed)
-            if (
-                k <= max_arrows
-                and p > cover[k]
-                and _canonical_deletion(parent, arc, closed)
-                and database.insert(closed)
-                and k < max_arrows
-            ):
-                frontier.append(ArrowTypeGraph(p, closed))
+    for n in range(max_arrows):
+        _extend_row(database, n, max_arrows, max_objects, cover)
     for k in range(1, max_arrows + 1):
         database.mark_covered(k, max_objects)
     return database

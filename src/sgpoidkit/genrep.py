@@ -27,7 +27,7 @@ from .arrowtype import (
 )
 from .errors import DomainError, ResourceLimitError
 from .morphisms import ArrowMap, _morphism_solutions
-from .tables import NC, CompositionTable, is_associative, _NotComposable
+from .tables import NC, CompositionTable, is_associative, _Marker
 from .typestructure import minimal_objects, typing_orbits
 
 # Cost guard: the composition-table cells a full transformation target
@@ -95,7 +95,7 @@ def _checked_degrees(degrees) -> tuple:
 
 def compose_arrows(
     a: TransformationArrow, b: TransformationArrow
-) -> Union[TransformationArrow, _NotComposable]:
+) -> Union[TransformationArrow, _Marker]:
     """a then b; NC when the types do not match."""
     if a.cod != b.dom:
         return NC

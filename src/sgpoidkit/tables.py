@@ -22,57 +22,35 @@ with ``null`` encoding NC; ``-1`` is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DomainError
 from .search import Problem, solve_all
 
 
-class _NotComposable:
-    """Singleton marking an undefined composition."""
+class _Marker:
+    """A cell value that is not an arrow index; there are two, compared by
+    identity.  :data:`NC` marks an undefined composition; :data:`UNSET`
+    marks a cell of a partial table left to the search, still to be
+    decided, where an NC cell is decided to be non-composable.  Pickling
+    and copying return the module-level marker itself."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "nc"
-
-    def __reduce__(self):
-        return (_NotComposable, ())
-
-
-class _Unset:
-    """Singleton marking a cell of a partial table left to the search.
-
-    Distinct from NC: an unset cell is still to be decided, an NC cell is
-    decided to be non-composable.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str, text: str) -> None:
+        self._name = name
+        self._text = text
 
     def __repr__(self) -> str:
-        return "?"
+        return self._text
 
-    def __reduce__(self):
-        return (_Unset, ())
+    def __reduce__(self) -> str:
+        return self._name
 
 
-NC = _NotComposable()
-UNSET = _Unset()
+NC = _Marker("NC", "nc")
+UNSET = _Marker("UNSET", "?")
 
-ArrowValue = Union[int, _NotComposable]
-
-_INT_OR_NC = {int, _NotComposable}
+ArrowValue = Union[int, _Marker]
 
 # Most relabelings :func:`associative_table_orbits` breaks.  Each is a
 # constraint that the search tests at many of its nodes, and a nearly
@@ -120,15 +98,6 @@ class CompositionTable:
         rows = tuple(map(tuple, self.entries))
         object.__setattr__(self, "entries", rows)
         n = len(rows)
-        # Whole-table check for large tables (below six arrows the loop is
-        # cheaper).  When it fails, the loop names the first bad row or
-        # entry, so accepted tables and errors stay the same.
-        if n > 5 and set(map(len, rows)) == {n}:
-            if set(map(type, chain.from_iterable(rows))) <= _INT_OR_NC:
-                values = set(chain.from_iterable(rows))
-                values.discard(NC)
-                if not values or (min(values) >= 0 and max(values) < n):
-                    return
         for row in rows:
             if len(row) != n:
                 raise DomainError("composition table must be square")

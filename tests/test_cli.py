@@ -238,13 +238,20 @@ def _tree_sha256(directory):
 
 
 def test_arrowtypes_saved_database_is_byte_stable(tmp_path, capsys):
-    db_dir = tmp_path / "db"
-    for _ in range(2):  # build, then rerun on the populated database
-        assert run(["arrowtypes", "--max-arrows", "6", "--db", str(db_dir)]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS6_STDOUT_SHA256
-        assert len(list(db_dir.iterdir())) == 37
-        assert _tree_sha256(db_dir) == CENSUS6_DB_SHA256
+    # From scratch, and staged: the 6-arc build then extends a preloaded
+    # database whose rows 1-4 are stored on at most 3 objects.
+    staged = ["--max-arrows", "4", "--max-objects", "3"]
+    for name, first in (("fresh", None), ("staged", staged)):
+        db_dir = tmp_path / name
+        if first:
+            assert run(["arrowtypes", *first, "--db", str(db_dir)]) == 0
+            capsys.readouterr()
+        for _ in range(2):  # build, then rerun on the populated database
+            assert run(["arrowtypes", "--max-arrows", "6", "--db", str(db_dir)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == CENSUS6_STDOUT_SHA256
+            assert len(list(db_dir.iterdir())) == 37
+            assert _tree_sha256(db_dir) == CENSUS6_DB_SHA256
 
 
 def test_arrowtypes_db_persistence(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import copy
 import functools
 import hashlib
 import itertools
+import pickle
 import random
 import re
 from collections import Counter
@@ -244,6 +246,10 @@ def test_table_validation_reports_the_first_fault(n):
     rows[2][0] = 1.5
     with pytest.raises(DomainError, match="must be square"):
         CompositionTable(rows)
+    # NC and UNSET share one marker class, yet only NC is a table entry.
+    rows[1] = [NC] * (n - 1) + [UNSET]
+    with pytest.raises(DomainError, match=r"entry \? is not"):
+        CompositionTable(rows)
 
 
 @pytest.mark.parametrize("n", (3, 8))
@@ -256,6 +262,16 @@ def test_table_validation_accepts_int_subclasses_and_nc(n):
     table = CompositionTable(rows)
     assert table.entries[0][0] == n - 1
     assert CompositionTable([[NC] * n for _ in range(n)]).n == n
+
+
+@pytest.mark.parametrize("marker, text", ((NC, "nc"), (UNSET, "?")))
+def test_markers_survive_pickle_and_copy(marker, text):
+    assert repr(marker) == text
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(marker, protocol)) is marker
+    assert copy.copy(marker) is marker
+    assert copy.deepcopy(marker) is marker
+    assert copy.deepcopy([marker, (0, marker)]) == [marker, (0, marker)]
 
 
 def _orbit_count(n, allow_nc=False, partial=None):
