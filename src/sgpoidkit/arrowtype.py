@@ -26,7 +26,7 @@ import math
 import os
 import shutil
 import tempfile
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional
@@ -148,27 +148,19 @@ def is_transitively_closed(graph) -> bool:
 
 
 def _closure_arcs(arcs) -> set:
+    # Every arc of the closure is a path in ``arcs``, and every path is
+    # its first arc extended on the right by one given arc at a time.
     closed = set(arcs)
-    queue = deque(closed)
     out: dict = {}
-    into: dict = {}
     for d, c in closed:
-        out.setdefault(d, set()).add(c)
-        into.setdefault(c, set()).add(d)
+        out.setdefault(d, []).append(c)
+    queue = list(closed)
     while queue:
-        d, c = queue.popleft()
-        for z in list(out.get(c, ())):
+        d, c = queue.pop()
+        for z in out.get(c, ()):
             if (d, z) not in closed:
                 closed.add((d, z))
-                out.setdefault(d, set()).add(z)
-                into.setdefault(z, set()).add(d)
                 queue.append((d, z))
-        for w in list(into.get(d, ())):
-            if (w, c) not in closed:
-                closed.add((w, c))
-                out.setdefault(w, set()).add(c)
-                into.setdefault(c, set()).add(w)
-                queue.append((w, c))
     return closed
 
 
@@ -588,9 +580,14 @@ class ClassDatabase:
     objects, brute force only in the cell (k, 2k).  A row stored up to a
     smaller bound is not inferred, because its largest node count does not
     show that bound: earlier versions let a closure run extend stored
-    classes past its own object bound, into rows it left incomplete.  No
-    class with k arcs has fewer than ceil(sqrt(k)) objects, so every row
-    is covered up to ceil(sqrt(k)) - 1 without any stored class.
+    classes past its own object bound, into rows it left incomplete.
+    Earlier versions also let the incremental method build rows past
+    INCREMENTAL_ARROW_LIMIT, which store that class but miss the complete
+    graph on three objects (nine arcs) and every class it leads to.  So a
+    row k > INCREMENTAL_ARROW_LIMIT is inferred only when that graph is
+    stored too: every complete row 9 holds it, and those builds never do.
+    No class with k arcs has fewer than ceil(sqrt(k)) objects, so every
+    row is covered up to ceil(sqrt(k)) - 1 without any stored class.
     """
 
     def __init__(self) -> None:
@@ -703,7 +700,8 @@ class ClassDatabase:
         """Read a directory written by :meth:`save` and infer its coverage
         (see the class docstring).  Each class goes through :meth:`insert`,
         so an edited file whose arcs are not in canonical form cannot count
-        one class twice."""
+        one class twice; a class whose arcs are not transitively closed is
+        refused with :class:`DomainError`."""
         directory = Path(path)
         database = cls()
         for bucket_file in sorted(directory.glob("nodes*_arcs*.json")):
@@ -712,7 +710,13 @@ class ClassDatabase:
             if not isinstance(classes, list):
                 raise DomainError(f"{bucket_file}: classes must be a list of arc lists")
             for arcs in classes:
-                database.insert(_arcs_from_json(arcs))
+                arcs = _arcs_from_json(arcs)
+                if not is_transitively_closed(arcs):
+                    raise DomainError(
+                        f"{bucket_file}: arcs {[list(arc) for arc in arcs]} "
+                        "are not transitively closed"
+                    )
+                database.insert(arcs)
         meta_file = directory / "meta.json"
         if meta_file.exists():
             meta = json.loads(meta_file.read_text())
@@ -722,9 +726,11 @@ class ClassDatabase:
             if type(complete) is not int:
                 raise DomainError(f"{meta_file}: complete_arrows must be an integer")
             database.complete_arrows = complete
+        complete_k3 = database.count(9, 3)  # the only 9-arc class on 3 objects
         for m, n in database._buckets:
             if m == 2 * n and 1 <= n <= database.complete_arrows:
-                database._coverage[n] = m
+                if n <= INCREMENTAL_ARROW_LIMIT or complete_k3:
+                    database._coverage[n] = m
         return database
 
 
@@ -753,11 +759,12 @@ def enumerate_brute_force(n_arrows: int, m_objects: int) -> List[ArrowTypeGraph]
 
     Prefixes are also pruned when they can no longer use all m labels, or
     when a two-step path through the new arc needs a composite arc whose
-    slot was passed over.  Complete lists are filtered by transitive
-    closure; a closed list that swapping two labels makes smaller is not a
-    least labeling, so it is dropped, and the rest are deduplicated by
-    canonical form.  Guarded by the number of scan nodes,
-    BRUTE_FORCE_LIMIT.
+    slot was passed over.  A complete list is kept when it is transitively
+    closed, which the bitmasks of chosen arcs show: each arc's head has no
+    successor its tail lacks.  A closed list that swapping two labels
+    makes smaller is not a least labeling, so it is dropped, and the rest
+    are deduplicated by canonical form.  Guarded by the number of scan
+    nodes, BRUTE_FORCE_LIMIT.
     """
     if n_arrows < 1 or m_objects < 1:
         raise DomainError("arc and object counts must be positive")
@@ -776,12 +783,10 @@ def enumerate_brute_force(n_arrows: int, m_objects: int) -> List[ArrowTypeGraph]
         nonlocal nodes, closed
         remaining = n_arrows - len(chosen)
         if remaining == 0:
-            if used == m:
-                arcs = frozenset(chosen)
-                if is_transitively_closed(arcs):
-                    closed += 1
-                    if not _swap_shrinks(chosen, m):
-                        database.insert(arcs)
+            if used == m and not any(out[c] & ~out[d] for d, c in chosen):
+                closed += 1
+                if not _swap_shrinks(chosen, m):
+                    database.insert(frozenset(chosen))
             return
         for i in range(start, len(slots) - remaining + 1):
             d, c = slots[i]

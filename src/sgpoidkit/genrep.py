@@ -3,12 +3,12 @@
 A transformation arrow is a triple (dom type, cod type, map); two arrows
 compose exactly when the codomain type of the first equals the domain type
 of the second, and the composite applies the maps left to right.  This
-module generates such semigroupoids from generators, builds the full
-transformation semigroupoid over a closed graph with chosen per-type
-degrees, and finds transformation representations of abstract tables by
-embedding them into full ones.  A full target lists only its arrows; its
-products are worked out from arrow indices one cell at a time, the first
-time each is read, and its whole table is never built.
+module generates such semigroupoids by post-composing generators, builds
+the full transformation semigroupoid over a closed graph with chosen
+per-type degrees, and finds transformation representations of abstract
+tables by embedding them into full ones.  A full target lists only its
+arrows; its products are worked out from arrow indices one cell at a time,
+the first time each is read, and its whole table is never built.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from .morphisms import ArrowMap, _morphism_solutions
 from .tables import NC, CompositionTable, is_associative, _Marker
 from .typestructure import minimal_objects, typing_orbits
 
-# Cost guard: the composition-table cells a full transformation target
-# would have (T_5, 3125 arrows, has 9.8 M; T_6 would have 2.2 G).  No table
-# is built, so the guard bounds the arrows a target lists, 3162 at most; a
-# target past it is refused before any arrow is made.
+# Cost guard: the composition-table cells of a full transformation target
+# or a generated semigroupoid (T_5, 3125 arrows, has 9.8 M; T_6 would have
+# 2.2 G).  It bounds the arrows either lists, 3162 at most.  No target
+# table is built, so a target past it is refused before any arrow is made;
+# a generated one is refused before its table is built.
 FULL_TABLE_CELL_LIMIT = 10**7
 
 
@@ -139,32 +140,35 @@ def generate(
 ) -> ConcreteSemigroupoid:
     """Close a generator set under composition.
 
-    Two lookup tables drive the closure: generators grouped by domain type
-    (for post-composition) and by codomain type (for pre-composition);
-    starting from the generators, every new arrow is pre- and post-composed
-    with the matching generators until nothing new appears.  Arrow equality
-    is equality of the (dom, cod, map) triple.
+    Every arrow of the closure is a word in the generators, and every word
+    is its first letter post-composed with one generator at a time.  So,
+    starting from the generators, each new arrow is post-composed with the
+    generators whose domain type is its codomain type until nothing new
+    appears.  Arrow equality is equality of the (dom, cod, map) triple.
+    A closure whose table would have more than FULL_TABLE_CELL_LIMIT cells
+    is refused with :class:`ResourceLimitError` once it grows past that
+    size, before its table is built.
     """
     degrees = _checked_degrees(degrees)
     gens = sorted(set(generators), key=TransformationArrow.sort_key)
     for g in gens:
         validate_arrow(g, degrees)
     by_dom: dict = {}
-    by_cod: dict = {}
     for g in gens:
         by_dom.setdefault(g.dom, []).append(g)
-        by_cod.setdefault(g.cod, []).append(g)
     found = set(gens)
     queue = list(gens)
     while queue:
+        # Every arrow found is queued, so this sees each size reached.
+        n = len(found)
+        if n * n > FULL_TABLE_CELL_LIMIT:
+            raise ResourceLimitError(
+                f"generated semigroupoid reached {n} arrows, {n * n} table "
+                f"cells (limit {FULL_TABLE_CELL_LIMIT} cells)"
+            )
         arrow = queue.pop()
         for g in by_dom.get(arrow.cod, ()):
             composite = compose_arrows(arrow, g)
-            if composite not in found:
-                found.add(composite)
-                queue.append(composite)
-        for g in by_cod.get(arrow.dom, ()):
-            composite = compose_arrows(g, arrow)
             if composite not in found:
                 found.add(composite)
                 queue.append(composite)

@@ -175,6 +175,17 @@ def arcs_transitively_closed(arcs):
     return True
 
 
+def arc_closure_by_pairs(arcs):
+    """Fixpoint of adding the composite (d, z) of every two arcs (d, c),
+    (c, z): the smallest transitively closed superset of ``arcs``."""
+    found = set(arcs)
+    while True:
+        fresh = {(d, z) for d, c in found for y, z in found if y == c} - found
+        if not fresh:
+            return found
+        found |= fresh
+
+
 def brute_force_graph_classes(n_arcs, m):
     """Canonical forms of all transitively closed arc sets with exactly
     n_arcs arcs covering exactly m nodes."""

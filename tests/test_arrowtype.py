@@ -41,6 +41,7 @@ from sgpoidkit.arrowtype import (
 )
 
 from .oracles import (
+    arc_closure_by_pairs,
     arcs_transitively_closed,
     brute_force_digraph_isomorphisms,
     brute_force_graph_classes,
@@ -84,6 +85,12 @@ def test_transitive_closure_is_idempotent_and_extensive(arcs):
 def test_transitive_closure_is_monotone(small, extra):
     # Compare on raw label sets to avoid compaction mismatches.
     assert _closure_arcs(small) <= _closure_arcs(small | extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10))
+def test_closure_arcs_is_the_pairwise_fixpoint(arcs):
+    assert _closure_arcs(arcs) == arc_closure_by_pairs(arcs)
 
 
 def test_one_more_arrow_with_fresh_object():
@@ -929,6 +936,31 @@ def test_database_load_recanonicalizes_edited_classes(tmp_path):
     loaded = ClassDatabase.load(tmp_path / "db")
     enumerate_by_closure(loaded, 3)
     assert count_table(loaded, 3, 6) == count_table(database, 3, 6)
+
+
+def test_database_load_refuses_classes_that_are_not_closed(tmp_path):
+    database = ClassDatabase()
+    enumerate_by_closure(database, 2)
+    database.save(tmp_path / "db")
+    bucket_file = tmp_path / "db" / "nodes02_arcs002.json"
+    payload = json.loads(bucket_file.read_text())
+    payload["classes"].append([[0, 1], [1, 0]])  # lacks (0, 0) and (1, 1)
+    bucket_file.write_text(json.dumps(payload))
+    with pytest.raises(DomainError, match="nodes02_arcs002.json.*not transitively"):
+        ClassDatabase.load(tmp_path / "db")
+
+
+def test_load_infers_rows_past_the_incremental_limit_only_with_k3(tmp_path):
+    # Earlier versions let the incremental method build row 9: it stores
+    # the class of 9 detached arcs but not the complete graph on 3 objects.
+    database = ClassDatabase()
+    database.insert([(2 * i, 2 * i + 1) for i in range(9)])
+    database.complete_arrows = 9
+    database.save(tmp_path / "db")
+    assert ClassDatabase.load(tmp_path / "db").coverage(9) == 2
+    database.insert([(d, c) for d in range(3) for c in range(3)])
+    database.save(tmp_path / "db")
+    assert ClassDatabase.load(tmp_path / "db").coverage(9) == 18
 
 
 def test_functional_digraph_counts():

@@ -431,6 +431,25 @@ def test_generate_vessels(tmp_path, vessels, capsys):
     assert payload["table"]["n"] == 16
 
 
+def test_generate_refuses_the_full_monoid_on_six_states(tmp_path, capsys):
+    # The 6-cycle, a transposition and one collapse generate T_6, whose
+    # table would have 2.2 G cells.
+    gens = [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5], [0, 0, 2, 3, 4, 5]]
+    path = _write(
+        tmp_path / "gens.json",
+        {
+            "degrees": [6],
+            "generators": [{"dom": 0, "cod": 0, "map": g} for g in gens],
+        },
+    )
+    start = time.perf_counter()
+    assert run(["generate", path]) == 3
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit 10000000 cells" in captured.err
+
+
 @pytest.mark.parametrize(
     "degrees", ["ab", [0], [-1], [2.5], [True]], ids=repr
 )
@@ -681,6 +700,7 @@ DB_ARGV = ["arrowtypes", "--max-arrows", "2", "--db", "db"]
             {"degrees": [2], "generators": [{"dom": 0, "cod": 0, "map": [True, False]}]},
             ["generate", "gens.json"],
         ),
+        ("db/nodes02_arcs002.json", {"classes": [[[0, 1], [1, 0]]]}, DB_ARGV),
     ],
 )
 def test_malformed_input_files_exit_two(

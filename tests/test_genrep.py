@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgpoidkit import genrep
 
@@ -99,6 +100,39 @@ def test_generate_vessels_matches_pairwise_closure_oracle(vessels):
     oracle = closure_by_pairs({(g.dom, g.cod, g.map) for g in gens})
     assert {(a.dom, a.cod, a.map) for a in closed.arrows} == oracle
     assert len(closed.arrows) == 16
+
+
+@st.composite
+def generator_sets(draw):
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    types = st.integers(0, len(degrees) - 1)
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        dom, cod = draw(types), draw(types)
+        mapping = draw(
+            st.tuples(*[st.integers(0, degrees[cod] - 1)] * degrees[dom])
+        )
+        generators.append(TransformationArrow(dom, cod, mapping))
+    return degrees, generators
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets())
+def test_generate_matches_pairwise_closure_oracle(case):
+    degrees, gens = case
+    closed = generate(gens, degrees)
+    oracle = closure_by_pairs({(g.dom, g.cod, g.map) for g in gens})
+    assert [(a.dom, a.cod, a.map) for a in closed.arrows] == sorted(oracle)
+
+
+def test_generate_accepts_the_full_monoid_on_five_states(monkeypatch):
+    # The 5-cycle, a transposition and one collapse generate T_5 (3125
+    # arrows, 9.8 M table cells), which passes the cost guard; its table is
+    # not built here.  tests/test_cli.py checks that T_6 exits 3.
+    gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4)]
+    monkeypatch.setattr(genrep, "derive_table", lambda arrows: None)
+    closed = generate([TransformationArrow(0, 0, g) for g in gens], (5,))
+    assert len(closed.arrows) == 5**5
 
 
 def test_generate_vessels_fills_the_full_structure(vessels):
