@@ -1,23 +1,25 @@
 """Concrete semigroupoids: typed total functions on finite state sets.
 
-A transformation arrow is a triple (dom type, cod type, map); two arrows
-compose exactly when the codomain type of the first equals the domain type
-of the second, and the composite applies the maps left to right.  This
-module generates such semigroupoids by post-composing generators, builds
-the full transformation semigroupoid over a closed graph with chosen
-per-type degrees, and finds transformation representations of abstract
-tables by embedding them into full ones.  A full target lists only its
-arrows; its products are worked out from arrow indices one cell at a time,
-the first time each is read, and its whole table is never built.
+A transformation arrow is a plain (dom type, cod type, map) triple; two
+arrows compose exactly when the codomain type of the first equals the
+domain type of the second, and the product of (d, c, f) and (c, e, g) is
+(d, e, g∘f).  This module generates such semigroupoids by post-composing
+generators, builds the full transformation semigroupoid over a closed graph
+with chosen per-type degrees, and finds transformation representations of
+abstract tables by embedding them into full ones.  Arrows are checked where
+they enter: by ``TransformationArrow.from_json``, :func:`validate_arrow`,
+:func:`compose_arrows` and :func:`derive_table`.  A table cell is the index
+of the composite triple, looked up in the grid's own arrow list.  A full
+target lists only its arrows; its products are looked up one cell at a
+time, the first time each is read, and its whole table is never built.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .arrowtype import (
     ArrowTypeGraph,
@@ -32,28 +34,20 @@ from .typestructure import minimal_objects, typing_orbits
 
 # Cost guard: the composition-table cells of a full transformation target
 # or a generated semigroupoid (T_5, 3125 arrows, has 9.8 M; T_6 would have
-# 2.2 G).  It bounds the arrows either lists, 3162 at most.  No target
-# table is built, so a target past it is refused before any arrow is made;
-# a generated one is refused before its table is built.
+# 2.2 G).  It bounds the arrows either lists, 3162 at most.  A target's
+# cells are only looked up as the search reads them, so a target past it
+# is refused before any arrow is made; a generated one is refused before
+# its table is built.
 FULL_TABLE_CELL_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class TransformationArrow:
-    """Total function between the state sets of two types."""
+class TransformationArrow(NamedTuple):
+    """Total function between the state sets of two types.  It is the
+    tuple (dom, cod, map): it hashes, compares and sorts as that triple."""
 
     dom: int
     cod: int
     map: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "map", tuple(self.map))
-        for value in self.map:
-            if not isinstance(value, int) or value < 0:
-                raise DomainError(f"state {value!r} is not a valid target state")
-
-    def sort_key(self) -> tuple:
-        return (self.dom, self.cod, self.map)
 
     def to_json(self) -> dict:
         return {"dom": self.dom, "cod": self.cod, "map": list(self.map)}
@@ -71,14 +65,23 @@ class TransformationArrow:
         return cls(data["dom"], data["cod"], tuple(data["map"]))
 
 
+def _is_index(value, size: int) -> bool:
+    # An int (not a bool) in range(size).
+    return type(value) is int and 0 <= value < size
+
+
 def validate_arrow(arrow: TransformationArrow, degrees: Sequence[int]) -> None:
-    if not 0 <= arrow.dom < len(degrees) or not 0 <= arrow.cod < len(degrees):
-        raise DomainError(f"arrow types {arrow.dom}->{arrow.cod} outside the degree list")
-    if len(arrow.map) != degrees[arrow.dom]:
-        raise DomainError("map length does not match the degree of the domain type")
-    for value in arrow.map:
-        if value >= degrees[arrow.cod]:
-            raise DomainError("map target outside the codomain state set")
+    """Refuse, with :class:`DomainError`, an arrow whose types are not
+    indices of ``degrees`` or whose map is not a tuple of ``degrees[dom]``
+    ints in ``range(degrees[cod])``."""
+    dom, cod, f = arrow
+    if not (_is_index(dom, len(degrees)) and _is_index(cod, len(degrees))):
+        raise DomainError(f"arrow types {dom!r}->{cod!r} outside the degree list")
+    if type(f) is not tuple or len(f) != degrees[dom]:
+        raise DomainError(f"map must be a tuple of {degrees[dom]} states")
+    for value in f:
+        if not _is_index(value, degrees[cod]):
+            raise DomainError(f"state {value!r} outside the codomain state set")
 
 
 def _checked_degrees(degrees) -> tuple:
@@ -94,36 +97,51 @@ def _checked_degrees(degrees) -> tuple:
     return degrees
 
 
+def _check_states(arrows: Iterable[TransformationArrow]) -> None:
+    # A negative state would index a map from its end, and a bool as 0 or 1.
+    for arrow in arrows:
+        if type(arrow.map) is not tuple:
+            raise DomainError("map must be a tuple of states")
+        for value in arrow.map:
+            if type(value) is not int or value < 0:
+                raise DomainError(f"state {value!r} is not a valid target state")
+
+
 def compose_arrows(
     a: TransformationArrow, b: TransformationArrow
 ) -> Union[TransformationArrow, _Marker]:
     """a then b; NC when the types do not match."""
+    _check_states((a, b))
     if a.cod != b.dom:
         return NC
     try:
-        mapped = tuple(b.map[x] for x in a.map)
+        mapped = tuple(map(b.map.__getitem__, a.map))
     except IndexError as exc:
         raise DomainError("map entry outside the intermediate state set") from exc
     return TransformationArrow(a.dom, b.cod, mapped)
 
 
 def derive_table(arrows: Sequence[TransformationArrow]) -> CompositionTable:
-    """Composition table of a set of arrows closed under composition."""
+    """Composition table of a set of arrows closed under composition.
+
+    Cell (a, b) is the index of the triple (dom a, cod b, b.map ∘ a.map),
+    looked up as a plain tuple in the arrows' own index; no arrow is built
+    per cell.  The maps are checked in one pass first."""
+    _check_states(arrows)
     index = {arrow: i for i, arrow in enumerate(arrows)}
-    rows = []
-    for a in arrows:
-        row = []
-        for b in arrows:
-            composite = compose_arrows(a, b)
-            if composite is NC:
-                row.append(NC)
-            else:
-                i = index.get(composite)
-                if i is None:
-                    raise DomainError("arrow set is not closed under composition")
-                row.append(i)
-        rows.append(tuple(row))
-    return CompositionTable(tuple(rows))
+    try:
+        rows = tuple(
+            tuple([
+                index[d, e, tuple(map(g.__getitem__, f))] if b == c else NC
+                for b, e, g in arrows
+            ])
+            for d, c, f in arrows
+        )
+    except IndexError as exc:
+        raise DomainError("map entry outside the intermediate state set") from exc
+    except KeyError:
+        raise DomainError("arrow set is not closed under composition") from None
+    return CompositionTable(rows)
 
 
 @dataclass(frozen=True)
@@ -150,9 +168,10 @@ def generate(
     size, before its table is built.
     """
     degrees = _checked_degrees(degrees)
-    gens = sorted(set(generators), key=TransformationArrow.sort_key)
-    for g in gens:
+    generators = list(generators)
+    for g in generators:
         validate_arrow(g, degrees)
+    gens = sorted(set(generators))
     by_dom: dict = {}
     for g in gens:
         by_dom.setdefault(g.dom, []).append(g)
@@ -172,7 +191,7 @@ def generate(
             if composite not in found:
                 found.add(composite)
                 queue.append(composite)
-    arrows = tuple(sorted(found, key=TransformationArrow.sort_key))
+    arrows = tuple(sorted(found))
     return ConcreteSemigroupoid(degrees, arrows, derive_table(arrows))
 
 
@@ -181,8 +200,8 @@ class FullTransformationSgpoid:
     """All total maps along every arc of a closed graph.
 
     ``products`` is the composition grid that the embedding searches read:
-    one row per arrow, whose cells are worked out by the index arithmetic
-    of :func:`full_transformation_sgpoid` when first read, then kept.
+    one row per arrow, whose cells are looked up by the cell rule of
+    :func:`derive_table` when first read, then kept.
     """
 
     degrees: tuple
@@ -191,15 +210,8 @@ class FullTransformationSgpoid:
 
     @cached_property
     def products(self) -> tuple:
-        # The index of each arc's first arrow.
-        offset = {}
-        n = 0
-        for d, c in self.graph.sorted_arcs:
-            offset[(d, c)] = n
-            n += self.degrees[c] ** self.degrees[d]
-        return tuple(
-            _ProductRow(self.arrows, self.degrees, offset, a) for a in self.arrows
-        )
+        index = {arrow: i for i, arrow in enumerate(self.arrows)}
+        return tuple(_ProductRow(self.arrows, index, a) for a in self.arrows)
 
 
 def full_transformation_arrows(
@@ -225,46 +237,23 @@ def full_transformation_arrows(
     )
 
 
-def _composite_weights(f: tuple, width: int, base: int) -> list:
-    # W_y for y < width: the index weight of g[y] in g∘f, for maps g into a
-    # type of degree ``base``; see full_transformation_sgpoid.
-    weights = [0] * width
-    place = 1
-    for y in reversed(f):
-        weights[y] += place
-        place *= base
-    return weights
-
-
 class _ProductRow(dict):
     """Row of a full target's composition grid for one arrow (d, c, f):
-    cell j is worked out when first read, then kept.  The offset and the
-    weights of f are computed once per codomain type of the arrows that f
-    meets."""
+    cell j, for arrow (b, e, g), is NC unless b == c, else the index of
+    (d, e, g∘f); it is looked up when first read, then kept."""
 
-    __slots__ = ("_arrows", "_degrees", "_offset", "_dom", "_cod", "_map", "_terms")
+    __slots__ = ("_arrows", "_index", "_arrow")
 
-    def __init__(self, arrows, degrees, offset, arrow) -> None:
+    def __init__(self, arrows, index, arrow) -> None:
         super().__init__()
         self._arrows = arrows
-        self._degrees = degrees
-        self._offset = offset
-        self._dom, self._cod, self._map = arrow.dom, arrow.cod, arrow.map
-        self._terms: dict = {}
+        self._index = index
+        self._arrow = arrow
 
     def __missing__(self, j: int):
-        b = self._arrows[j]
-        if b.dom != self._cod:
-            value = NC
-        else:
-            terms = self._terms.get(b.cod)
-            if terms is None:
-                e = b.cod
-                weights = _composite_weights(
-                    self._map, self._degrees[self._cod], self._degrees[e]
-                )
-                terms = self._terms[e] = (self._offset[(self._dom, e)], weights)
-            value = terms[0] + sum(map(operator.mul, b.map, terms[1]))
+        d, c, f = self._arrow
+        b, e, g = self._arrows[j]
+        value = self._index[d, e, tuple(map(g.__getitem__, f))] if b == c else NC
         self[j] = value
         return value
 
@@ -277,13 +266,9 @@ def full_transformation_sgpoid(
 
     Arrows are listed arc by arc in ``graph.sorted_arcs`` order and, within
     arc (d, c), in ``itertools.product(range(deg[c]), repeat=deg[d])``
-    order, so map f has index ``offset[(d, c)] + sum_x f[x] *
-    deg[c]**(deg[d]-1-x)``.  Products come from indices alone: (d, c, f)
-    then (c, e, g) is (d, e, g∘f), whose index is ``offset[(d, e)] +
-    sum_y g[y] * W_y`` with ``W_y = sum_{x: f[x]=y} deg[e]**(deg[d]-1-x)``.
-    Pairs whose types do not meet are NC.  :func:`derive_table` on the same
-    arrows gives the same table, one composite at a time.  Only the arrows
-    are built here; each product is computed when first read (see
+    order.  Pairs whose types do not meet are NC.  Only the arrows are
+    built here; each product is looked up by the cell rule of
+    :func:`derive_table` when first read (see
     :class:`FullTransformationSgpoid`), and no whole table is ever built.
     Targets whose table would have more than FULL_TABLE_CELL_LIMIT cells
     are refused before any arrow is made.

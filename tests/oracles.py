@@ -241,3 +241,17 @@ def closure_by_pairs(arrows):
         if not fresh:
             return found
         found |= fresh
+
+
+def composition_grid(arrows):
+    """Grid of a list of typed maps (dom, cod, map) closed under
+    composition: cell (i, j) is the position of arrow i then arrow j,
+    composed map by map, or None when the types do not meet."""
+    position = {arrow: i for i, arrow in enumerate(arrows)}
+    return tuple(
+        tuple(
+            position[d, e, tuple(g[x] for x in f)] if c == b else None
+            for b, e, g in arrows
+        )
+        for d, c, f in arrows
+    )

@@ -701,6 +701,12 @@ DB_ARGV = ["arrowtypes", "--max-arrows", "2", "--db", "db"]
             ["generate", "gens.json"],
         ),
         ("db/nodes02_arcs002.json", {"classes": [[[0, 1], [1, 0]]]}, DB_ARGV),
+        # State -1 would read as the last state.
+        (
+            "gens.json",
+            {"degrees": [2], "generators": [{"dom": 0, "cod": 0, "map": [-1, 0]}]},
+            ["generate", "gens.json"],
+        ),
     ],
 )
 def test_malformed_input_files_exit_two(

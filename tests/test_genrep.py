@@ -35,7 +35,8 @@ from sgpoidkit import (
 from sgpoidkit.catalog import flip_flop, two_element_group, two_type_six_arrow
 from sgpoidkit.genrep import _degree_vectors
 
-from .oracles import closure_by_pairs
+from .conftest import grid
+from .oracles import closure_by_pairs, composition_grid
 
 FULL_2 = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
 ONE_WAY = ArrowTypeGraph(2, frozenset({(0, 0), (0, 1), (1, 1)}))
@@ -66,6 +67,11 @@ def test_compose_arrows_range_error():
     narrow = TransformationArrow(1, 0, (0, 0))
     with pytest.raises(DomainError):
         compose_arrows(wide, narrow)
+    # State -1 would read as the last state of the next map.
+    with pytest.raises(DomainError, match="-1"):
+        compose_arrows(TransformationArrow(0, 1, (-1,)), narrow)
+    with pytest.raises(DomainError, match="-1"):
+        compose_arrows(TransformationArrow(0, 1, (1,)), TransformationArrow(1, 0, (0, -1)))
 
 
 def test_validate_arrow():
@@ -76,6 +82,18 @@ def test_validate_arrow():
         validate_arrow(TransformationArrow(0, 2, (0,)), (1, 1))
     with pytest.raises(DomainError):
         validate_arrow(TransformationArrow(0, 0, (0, 0, 0)), (2,))
+    with pytest.raises(DomainError):
+        validate_arrow(TransformationArrow(-1, 0, (0,)), (1, 1))
+    # A negative state, a bool state and a map that is not a tuple.
+    for bad in ((-1, 0), (True, 0), [0, 1]):
+        with pytest.raises(DomainError):
+            validate_arrow(TransformationArrow(0, 1, bad), (2, 2))
+
+
+def test_generate_validates_generators_before_hashing_them():
+    for bad in ((-1, 0), [1, 0]):
+        with pytest.raises(DomainError):
+            generate([TransformationArrow(0, 0, bad)], (2,))
 
 
 def test_generate_single_idempotent():
@@ -123,6 +141,37 @@ def test_generate_matches_pairwise_closure_oracle(case):
     closed = generate(gens, degrees)
     oracle = closure_by_pairs({(g.dom, g.cod, g.map) for g in gens})
     assert [(a.dom, a.cod, a.map) for a in closed.arrows] == sorted(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets())
+def test_generated_table_matches_composition_grid_oracle(case):
+    degrees, gens = case
+    closed = generate(gens, degrees)
+    triples = [(a.dom, a.cod, a.map) for a in closed.arrows]
+    assert grid(closed.table) == composition_grid(triples)
+
+
+def test_compose_arrows_calls_are_pinned(monkeypatch):
+    # The closure of the T_4 generators composes each of its 256 arrows
+    # with each of the three generators once.  Table cells, whole or lazy,
+    # are looked up without composing an arrow.
+    calls = []
+    compose = genrep.compose_arrows
+
+    def counting_compose(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(genrep, "compose_arrows", counting_compose)
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)]
+    closed = generate([TransformationArrow(0, 0, g) for g in gens], (4,))
+    assert (len(closed.arrows), len(calls)) == (256, 768)
+    calls.clear()
+    target = full_transformation_sgpoid((3,), LOOP)
+    derive_table(target.arrows)
+    assert sum(row[j] is not NC for row in target.products for j in range(27)) == 729
+    assert calls == []
 
 
 def test_generate_accepts_the_full_monoid_on_five_states(monkeypatch):
@@ -208,12 +257,18 @@ def _small_targets():
                 yield full_transformation_sgpoid(degrees, graph)
 
 
+def _oracle_rows(arrows):
+    entries = composition_grid([(a.dom, a.cod, a.map) for a in arrows])
+    return [tuple(NC if v is None else v for v in row) for row in entries]
+
+
 def _expected_rows(target):
-    # Row i of derive_table, for every row below 1000 arrows and for every
-    # 31st row of T_5 (3125 arrows).
+    # Row i of the composition-grid oracle, for every row below 1000
+    # arrows, and the row composed arrow by arrow for every 31st row of T_5
+    # (3125 arrows).
     arrows = target.arrows
     if len(arrows) < 1000:
-        return dict(enumerate(derive_table(arrows).entries))
+        return dict(enumerate(_oracle_rows(arrows)))
     index = {arrow: i for i, arrow in enumerate(arrows)}
     return {
         i: _composed_row(arrows, index, arrows[i]) for i in range(0, len(arrows), 31)
@@ -276,13 +331,13 @@ def test_minimal_representations_are_unchanged():
     [((4,), LOOP), ((1, 3), ONE_WAY), ((2, 2), ONE_WAY), ((2, 3), SINK)],
 )
 def test_full_table_matches_derive_table(degrees, graph):
-    # Every row of the products grid, read in order, is the row that
-    # derive_table composes.  SINK: object 1 has no outgoing arc, so its
+    # Every row of the products grid, read in order, is the row of the
+    # composition-grid oracle.  SINK: object 1 has no outgoing arc, so its
     # arrows' rows are all NC.
     target = full_transformation_sgpoid(degrees, graph)
     n = len(target.arrows)
-    expected = derive_table(target.arrows).entries
-    assert [tuple(row[j] for j in range(n)) for row in target.products] == list(expected)
+    expected = _oracle_rows(target.arrows)
+    assert [tuple(row[j] for j in range(n)) for row in target.products] == expected
     if graph is SINK:
         assert all(set(row.values()) == {NC} for row in target.products)
     assert target.arrows == full_transformation_arrows(degrees, graph)
@@ -312,6 +367,13 @@ def test_derive_table_requires_closure():
     swap = TransformationArrow(0, 0, (1, 0))
     with pytest.raises(DomainError):
         derive_table((swap,))
+
+
+def test_derive_table_refuses_negative_states():
+    # State -1 would read as the last state, so this arrow would look
+    # closed: its map composed with itself is itself.
+    with pytest.raises(DomainError, match="-1"):
+        derive_table((TransformationArrow(0, 0, (-1, -1)),))
 
 
 def test_strict_embeddings_of_six_arrow(six_arrow):
