@@ -5,9 +5,10 @@ digraph that is transitively closed, has at most one arc per ordered pair
 and no isolated object.  This module enumerates the isomorphism classes of
 such graphs by three independent methods (combinatorial brute force,
 single-arc extension, single-arc extension followed by transitive closure)
-and keeps class representatives in a database keyed by canonical form: the
-lexicographically least relabeling, found by a search that branches only
-on tied arcs and skips branches an automorphism maps onto explored ones.
+and keeps each class in a database as its canonical code: the sorted codes
+a * m + b of the arcs (a, b) of its lexicographically least relabeling on m
+objects, found by a search that branches only on tied arcs and skips
+branches an automorphism maps onto explored ones.
 Both extension methods run one row step in ascending row order; it adds
 one arc to every stored class of a row, closes the result, and inserts
 the children that pass a canonical-deletion filter.
@@ -61,15 +62,12 @@ class ArrowTypeGraph:
     arcs: frozenset
 
     def __post_init__(self) -> None:
-        arcs = frozenset((int(d), int(c)) for d, c in self.arcs)
+        arcs = frozenset((d, c) for d, c in self.arcs)
         object.__setattr__(self, "arcs", arcs)
-        used = set()
         for d, c in arcs:
-            if not (0 <= d < self.m and 0 <= c < self.m):
-                raise DomainError(f"arc ({d}, {c}) outside objects 0..{self.m - 1}")
-            used.add(d)
-            used.add(c)
-        if len(used) != self.m:
+            if not (type(d) is type(c) is int and 0 <= d < self.m and 0 <= c < self.m):
+                raise DomainError(f"arc ({d!r}, {c!r}) outside int objects 0..{self.m - 1}")
+        if len(_nodes(arcs)) != self.m:
             raise DomainError(
                 "isolated objects are not representable; compact the graph"
             )
@@ -119,6 +117,11 @@ def _arcset(graph) -> frozenset:
     if isinstance(graph, frozenset):
         return graph
     return frozenset(tuple(arc) for arc in graph)
+
+
+def _arcs_of(m: int, codes: tuple) -> frozenset:
+    """The arcs (a, b) of the codes a * m + b (see :func:`canonical_form`)."""
+    return frozenset(divmod(code, m) for code in codes)
 
 
 def _nodes(arcs) -> set:
@@ -353,9 +356,10 @@ def _twin_classes(edges: list, m: int) -> list:
     return least
 
 
-def canonical_form(G) -> ArrowTypeGraph:
-    """Lexicographically least compact relabeling; equal exactly for
-    isomorphic inputs.
+def canonical_form(G) -> tuple:
+    """Lexicographically least compact relabeling, as its code (m, codes):
+    m is the object count and codes the sorted a * m + b of its arcs (a, b),
+    so (0, ()) for no arcs.  Equal exactly for isomorphic inputs.
 
     In a lexicographically minimal labeling the objects are numbered
     0, 1, 2, ... in order of first appearance in the sorted arc list
@@ -379,8 +383,6 @@ def canonical_form(G) -> ArrowTypeGraph:
     paths part, so the search returns straight to that level.
     """
     arcs = _arcset(G)
-    if not arcs:
-        return ArrowTypeGraph(0, frozenset())
     index = {x: i for i, x in enumerate(_nodes(arcs))}
     m = len(index)
     edges = [(index[d], index[c]) for d, c in arcs]
@@ -514,7 +516,7 @@ def canonical_form(G) -> ArrowTypeGraph:
                 order.append(x)
         back = open_level(depth + 1, [e for e in remaining if e is not arc], equal)
 
-    return ArrowTypeGraph(m, frozenset(divmod(code, m) for code in best[0]))
+    return m, tuple(best[0])
 
 
 class GraphSignature(NamedTuple):
@@ -563,11 +565,11 @@ def signature(G) -> GraphSignature:
 class ClassDatabase:
     """Store of pairwise non-isomorphic graph representatives.
 
-    Index: (node count, arc count) -> sorted arcs of a canonical form ->
-    that canonical form.  Isomorphic graphs have equal canonical forms and
-    non-isomorphic ones different forms, so inserting a graph is one
-    :func:`canonical_form` call and a dict lookup, and the stored
-    representatives are the canonical forms themselves.
+    Index: (node count, arc count) -> the set of canonical codes (see
+    :func:`canonical_form`).  Isomorphic graphs have equal codes and
+    non-isomorphic ones different codes, so inserting a graph is one
+    :func:`canonical_form` call and a set lookup.  For a fixed m, a * m + b
+    orders arcs as (a, b) does, so codes sort as the arc lists they encode.
 
     Coverage: for each arc count k, the largest object count p such that
     every class with k arcs and at most p objects is stored.  A census run
@@ -626,12 +628,11 @@ class ClassDatabase:
     def insert(self, graph) -> bool:
         """Record the class of ``graph`` (an :class:`ArrowTypeGraph` or an
         arc set); True when it was new."""
-        rep = canonical_form(graph)
-        key = rep.sorted_arcs
-        bucket = self._buckets.setdefault((rep.m, len(key)), {})
-        if key in bucket:
+        m, codes = canonical_form(graph)
+        bucket = self._buckets.setdefault((m, len(codes)), set())
+        if codes in bucket:
             return False
-        bucket[key] = rep
+        bucket.add(codes)
         return True
 
     def count(self, n_arcs: int, m: int) -> int:
@@ -640,20 +641,20 @@ class ClassDatabase:
     def total(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
+    def _codes(self, n_arcs: Optional[int] = None, m: Optional[int] = None) -> list:
+        """(m, codes) of the stored classes, by node count, arc count and codes."""
+        return [
+            (bm, codes)
+            for bm, bn in sorted(self._buckets)
+            if (n_arcs is None or bn == n_arcs) and (m is None or bm == m)
+            for codes in sorted(self._buckets[bm, bn])
+        ]
+
     def classes(
         self, n_arcs: Optional[int] = None, m: Optional[int] = None
     ) -> List[ArrowTypeGraph]:
-        """Stored representatives, ordered by node count, arc count and
-        sorted arcs."""
-        found = []
-        for (bm, bn) in sorted(self._buckets):
-            if n_arcs is not None and bn != n_arcs:
-                continue
-            if m is not None and bm != m:
-                continue
-            bucket = self._buckets[(bm, bn)]
-            found.extend(bucket[key] for key in sorted(bucket))
-        return found
+        """Stored representatives, by node count, arc count and sorted arcs."""
+        return [ArrowTypeGraph(bm, _arcs_of(bm, c)) for bm, c in self._codes(n_arcs, m)]
 
     def save(self, path) -> None:
         """One JSON file per (node count, arc count) bucket plus a meta
@@ -681,13 +682,10 @@ class ClassDatabase:
 
         try:
             for (m, n), bucket in sorted(self._buckets.items()):
+                classes = [[list(divmod(c, m)) for c in codes] for codes in sorted(bucket)]
                 write(
                     f"nodes{m:02d}_arcs{n:03d}.json",
-                    {
-                        "node_count": m,
-                        "arc_count": n,
-                        "classes": [[list(arc) for arc in key] for key in sorted(bucket)],
-                    },
+                    {"node_count": m, "arc_count": n, "classes": classes},
                 )
             write("meta.json", {"complete_arrows": self.complete_arrows})
             for name in names:
@@ -848,13 +846,12 @@ def _check_incremental_target(target_arrows: int) -> None:
         )
 
 
-def _extend_row(
-    database: ClassDatabase, n: int, max_arrows: int, max_objects: int, cover: list
-) -> None:
+def _extend_row(database: ClassDatabase, n: int, max_arrows: int, max_objects: int) -> None:
     """Insert the closed one-arc extensions of every stored class with n
     arcs on at most max_objects objects, keeping those with at most
     max_arrows arcs that lie past their row's coverage: a child with k
-    arcs on p objects is skipped when p <= cover[k], as it is stored.
+    arcs on p objects is skipped when p <= database.coverage(k) at the
+    start of the step, as it is stored.
 
     Each class is extended by one arc per orbit of its twin permutations
     (:func:`_extension_orbits`).  Closure commutes with relabeling, so an
@@ -882,11 +879,14 @@ def _extend_row(
     representative arc is isomorphic to C, so it has no removable arc and
     is accepted.
     """
-    for graph in database.classes(n_arcs=n):
-        if graph.m > max_objects:
+    # Every child has more than n arcs.
+    cover = {k: database.coverage(k) for k in range(n + 1, max_arrows + 1)}
+    for m, codes in database._codes(n_arcs=n):
+        if m > max_objects:
             continue
-        parent = _parent_masks(graph.arcs, graph.m)
-        for arc, closed, p in _extension_orbits(graph.arcs, graph.m, max_objects):
+        arcs = _arcs_of(m, codes)
+        parent = _parent_masks(arcs, m)
+        for arc, closed, p in _extension_orbits(arcs, m, max_objects):
             k = len(closed)
             if k <= max_arrows and p > cover[k] and _canonical_deletion(parent, arc, closed):
                 database.insert(closed)
@@ -913,14 +913,15 @@ def enumerate_incremental(
     _check_incremental_target(target_arrows)
     if max_objects is None:
         max_objects = 2 * target_arrows
+    if target_arrows < 1 or max_objects < 1:
+        raise DomainError("arc and object counts must be positive")
     seed(database)
     if not database.covers(target_arrows - 1, max_objects):
         raise StaleDatabaseError(
             f"database does not cover {target_arrows - 1} arcs on up to "
             f"{max_objects} objects"
         )
-    cover = [-1] + [database.coverage(k) for k in range(1, target_arrows + 1)]
-    _extend_row(database, target_arrows - 1, target_arrows, max_objects, cover)
+    _extend_row(database, target_arrows - 1, target_arrows, max_objects)
     database.mark_covered(target_arrows, max_objects)
     return database
 
@@ -944,9 +945,8 @@ def enumerate_by_closure(
     if max_objects is None:
         max_objects = 2 * max_arrows
     seed(database)
-    cover = [-1] + [database.coverage(k) for k in range(1, max_arrows + 1)]
     for n in range(max_arrows):
-        _extend_row(database, n, max_arrows, max_objects, cover)
+        _extend_row(database, n, max_arrows, max_objects)
     for k in range(1, max_arrows + 1):
         database.mark_covered(k, max_objects)
     return database
@@ -1019,8 +1019,7 @@ def functional_digraph_count(degree: int) -> int:
         )
     database = ClassDatabase()
     for f in itertools.product(range(degree), repeat=degree):
-        arcs = {(x, fx) for x, fx in enumerate(f)}
-        database.insert(ArrowTypeGraph.from_arcs(arcs))
+        database.insert({(x, fx) for x, fx in enumerate(f)})
     return database.total()
 
 

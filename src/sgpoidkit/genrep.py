@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .arrowtype import (
     ArrowTypeGraph,
+    _arcs_of,
     arrow_type_of,
     canonical_form,
     is_transitively_closed,
@@ -302,15 +303,14 @@ def _degree_vectors(total: int, parts: int) -> Iterator[tuple]:
             yield (head,) + tail
 
 
-def _candidate_graphs(table: CompositionTable, m: int) -> list:
-    # Canonical quotient graphs on exactly m objects of the table's typings;
+def _candidate_graphs(table: CompositionTable, m: int) -> set:
+    # Canonical codes of the m-object quotient graphs of the table's typings;
     # relabeling a typing relabels its graph, so one typing per orbit will do.
-    reps = {}
-    for ts in typing_orbits(table, m):
-        if len(set(ts.doms + ts.cods)) == m:
-            rep = canonical_form(arrow_type_of(table, ts))
-            reps[rep.sorted_arcs] = rep
-    return list(reps.values())
+    return {
+        canonical_form(arrow_type_of(table, ts))
+        for ts in typing_orbits(table, m)
+        if len(set(ts.doms + ts.cods)) == m
+    }
 
 
 def minimal_representation(
@@ -346,9 +346,10 @@ def minimal_representation(
     for total in range(1, cap + 1):
         if m_least <= total <= max(2 * n, 1):
             candidates.extend(_candidate_graphs(abstract, total))
-            candidates.sort(key=lambda g: (len(g.arcs), g.m, g.sorted_arcs))
-        for graph in candidates:
-            for degrees in _degree_vectors(total, graph.m):
+            candidates.sort(key=lambda code: (len(code[1]), code))
+        for m, codes in candidates:
+            graph = ArrowTypeGraph(m, _arcs_of(m, codes))
+            for degrees in _degree_vectors(total, m):
                 # Fewer arrows than the table admits no injective map.
                 if sum(degrees[c] ** degrees[d] for d, c in graph.arcs) < n:
                     continue

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -155,12 +156,44 @@ def test_automorphisms_contain_identity():
         assert identity in list(digraph_isomorphisms(arcs, arcs))
 
 
+def _decoded(code):
+    """The sorted arcs (a, b) of a canonical code (m, codes a * m + b)."""
+    m, codes = code
+    return tuple(divmod(c, m) for c in codes)
+
+
 def test_canonical_form_examples():
-    assert canonical_form({(9, 9)}).arcs == {(0, 0)}
-    assert canonical_form({(1, 0)}).arcs == {(0, 1)}
+    assert _decoded(canonical_form({(9, 9)})) == ((0, 0),)
+    assert _decoded(canonical_form({(1, 0)})) == ((0, 1),)
     left = canonical_form({(0, 0), (1, 1), (0, 1)})
     right = canonical_form({(1, 1), (0, 0), (1, 0)})
     assert left == right
+
+
+def test_canonical_form_returns_codes():
+    assert canonical_form({(9, 9)}) == (1, (0,))
+    assert canonical_form({(1, 0)}) == (2, (1,))
+    assert canonical_form(set()) == (0, ())
+    # On every census class up to 5 arcs under seeded relabelings, the codes
+    # strictly increase and decode to the least relabeling over all
+    # permutations (checked up to 8 objects, 0.1 s each; the 4 classes on 9
+    # and 10 objects would take about 15 s, so they are held to their
+    # stored form, itself the canonical form of another labeling).
+    database = ClassDatabase()
+    enumerate_by_closure(database, 5)
+    rng = random.Random(22)
+    checked = 0
+    for graph in database.classes()[1:]:
+        expected = digraph_canonical(graph.arcs) if graph.m <= 8 else graph.sorted_arcs
+        for _ in range(3):
+            labels = list(range(10, 10 + graph.m))
+            rng.shuffle(labels)
+            m, codes = canonical_form({(labels[d], labels[c]) for d, c in graph.arcs})
+            assert m == graph.m
+            assert all(a < b for a, b in zip(codes, codes[1:])), codes
+            assert _decoded((m, codes)) == expected, graph
+            checked += 1
+    assert checked == 3 * 318
 
 
 def _compact(arcs):
@@ -180,7 +213,7 @@ def _all_compact_arc_sets(max_arcs, max_nodes):
 
 def test_canonical_form_matches_full_permutation_oracle():
     for arcs in _all_compact_arc_sets(3, 3):
-        assert canonical_form(arcs).sorted_arcs == digraph_canonical(arcs)
+        assert _decoded(canonical_form(arcs)) == digraph_canonical(arcs)
 
 
 def test_canonical_form_matches_oracle_on_labeled_closed_graphs():
@@ -194,7 +227,7 @@ def test_canonical_form_matches_oracle_on_labeled_closed_graphs():
                 if {x for a in arcs for x in a} != set(range(m)):
                     continue
                 if arcs_transitively_closed(arcs):
-                    assert canonical_form(arcs).sorted_arcs == digraph_canonical(arcs)
+                    assert _decoded(canonical_form(arcs)) == digraph_canonical(arcs)
                     checked += 1
     # Labeled transitive relations (OEIS A006905: 1, 2, 13, 171) with no
     # isolated point, by inclusion-exclusion: 1, 13 - 4 + 1, 171 - 39 + 6 - 1.
@@ -212,7 +245,7 @@ def test_canonical_form_matches_oracle_on_relabeled_census_classes():
         relabeled = {(labels[d], labels[c]) for d, c in graph.arcs}
         expected = digraph_canonical(graph.arcs)
         assert graph.sorted_arcs == expected
-        assert canonical_form(relabeled).sorted_arcs == expected
+        assert _decoded(canonical_form(relabeled)) == expected
 
 
 def _scrambled(arcs, seed):
@@ -245,7 +278,7 @@ def test_canonical_form_symmetric_worst_cases(canonical, monkeypatch):
 
     monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", 2000)
     for seed in range(3):
-        assert canonical_form(_scrambled(canonical, seed)).sorted_arcs == canonical
+        assert _decoded(canonical_form(_scrambled(canonical, seed))) == canonical
 
 
 def test_canonical_form_depth_is_not_bounded_by_recursion():
@@ -253,7 +286,7 @@ def test_canonical_form_depth_is_not_bounded_by_recursion():
     # RecursionError.
     loops = [(x, x) for x in range(1000)]
     random.Random(0).shuffle(loops)
-    assert canonical_form(loops).sorted_arcs == tuple((i, i) for i in range(1000))
+    assert _decoded(canonical_form(loops)) == tuple((i, i) for i in range(1000))
 
 
 def test_canonical_form_step_guard(monkeypatch):
@@ -304,7 +337,7 @@ def test_extension_orbits_offer_every_child_class():
         found: dict = {}
         for _, closed, p in extensions:
             if closed not in forms:
-                forms[closed] = canonical_form(closed).sorted_arcs
+                forms[closed] = _decoded(canonical_form(closed))
             found.setdefault((len(closed), p), set()).add(forms[closed])
         return found
 
@@ -417,7 +450,7 @@ def test_digraph_isomorphisms_match_permutation_oracle_in_order():
 
 def test_signature_is_isomorphism_invariant():
     for arcs in _all_compact_arc_sets(3, 3):
-        relabeled = canonical_form(arcs)
+        relabeled = _decoded(canonical_form(arcs))
         assert signature(relabeled) == signature(ArrowTypeGraph.from_arcs(arcs))
 
 
@@ -428,6 +461,10 @@ def test_graph_validation():
         ArrowTypeGraph(1, frozenset({(0, 1)}))
     graph = ArrowTypeGraph.from_arcs({(4, 7)})
     assert graph.m == 2 and graph.arcs == {(0, 1)}
+    # Ends are ints, not bools: none of these is read as the arc (0, 1).
+    for arc in ((0, 1.7), ("0", "1"), (False, True)):
+        with pytest.raises(DomainError):
+            ArrowTypeGraph(2, frozenset({arc}))
 
 
 def test_graph_json_round_trip():
@@ -783,6 +820,16 @@ def test_incremental_honours_max_objects():
         enumerate_incremental(database, 7)  # row 6 covered to 3 objects only
 
 
+def test_incremental_refuses_counts_below_one():
+    # A target of 0 arcs used to fail inside the coverage bound with
+    # ValueError, and 0 objects to mark row 2 covered with nothing stored.
+    database = ClassDatabase()
+    for target, objects in ((0, None), (-1, 4), (2, 0)):
+        with pytest.raises(DomainError, match="must be positive"):
+            enumerate_incremental(database, target, objects)
+    assert database.total() == 0 and database.complete_arrows == -1
+
+
 def test_incremental_refuses_rows_it_cannot_reach():
     database = ClassDatabase()
     with pytest.raises(DomainError, match="complete graph on three objects"):
@@ -922,6 +969,19 @@ def test_save_failure_while_renaming_leaves_a_sound_database(tmp_path, monkeypat
                 assert loaded.count(k, m) == new.count(k, m), (cut, k, m)
         assert loaded.covers(1, 2)
         assert loaded.covers(4, 8) == (cut == files)
+
+
+# sha256 of json.dumps([g.to_json() for g in classes()]) after the 6-arc
+# closure census, recorded before the database stored canonical codes.
+CLOSURE6_CLASSES_SHA256 = "2e8e00757a6875316151070930f8d8098706e1700123f6134dc53994a7c0fd13"
+
+
+def test_closure_census_classes_are_pinned():
+    database = ClassDatabase()
+    enumerate_by_closure(database, 6)
+    records = [graph.to_json() for graph in database.classes()]
+    assert len(records) == 1 + 2 + 7 + 21 + 70 + 218 + 721
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == CLOSURE6_CLASSES_SHA256
 
 
 def test_database_load_recanonicalizes_edited_classes(tmp_path):
