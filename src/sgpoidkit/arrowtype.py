@@ -64,6 +64,8 @@ class ArrowTypeGraph:
     def __post_init__(self) -> None:
         arcs = frozenset((d, c) for d, c in self.arcs)
         object.__setattr__(self, "arcs", arcs)
+        if type(self.m) is not int:
+            raise DomainError(f"object count {self.m!r} is not an int")
         for d, c in arcs:
             if not (type(d) is type(c) is int and 0 <= d < self.m and 0 <= c < self.m):
                 raise DomainError(f"arc ({d!r}, {c!r}) outside int objects 0..{self.m - 1}")
@@ -286,15 +288,18 @@ def one_more_arrow(arcs, m: int, added_object: bool = False) -> list:
     With ``added_object`` the object m-1 is fresh (no arc may touch it) and
     the new arc must touch it; candidates are tried as (i, m-1), (m-1, i)
     for each older object i, then the loop (m-1, m-1).  Otherwise
-    candidates run in row-major order.  Arcs off these objects raise
-    :class:`DomainError`.  Since the arcs are closed, adding one arc leaves
-    them closed exactly when its one-pass closure in
-    :func:`_closed_extensions` adds nothing else.
+    candidates run in row-major order.  Arcs that are not pairs of int
+    (not bool) objects among these raise :class:`DomainError`.  Since the
+    arcs are closed, adding one arc leaves them closed exactly when its
+    one-pass closure in :func:`_closed_extensions` adds nothing else.
     """
     arcs = frozenset(map(tuple, arcs))
     existing = m - added_object
-    if not all(0 <= x < existing for arc in arcs for x in arc):
-        raise DomainError(f"arcs must lie on objects 0..{existing - 1}")
+    if not all(
+        len(arc) == 2 and all(type(x) is int and 0 <= x < existing for x in arc)
+        for arc in arcs
+    ):
+        raise DomainError(f"arcs must be pairs of int objects 0..{existing - 1}")
     return [
         arc
         for arc, closure, p in _closed_extensions(arcs, existing, m)

@@ -34,10 +34,12 @@ class ArrowMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
+        if not type(self.source_n) is type(self.target_n) is int:
+            raise DomainError("arrow counts must be ints")
         if len(self.images) != self.source_n:
             raise DomainError("image vector length does not match source size")
         for img in self.images:
-            if not isinstance(img, int) or not 0 <= img < self.target_n:
+            if type(img) is not int or not 0 <= img < self.target_n:
                 raise DomainError(f"image {img!r} outside 0..{self.target_n - 1}")
 
     def is_injective(self) -> bool:

@@ -179,12 +179,16 @@ def is_associative(table: CompositionTable) -> bool:
     return first_nonassociative_triple(table) is None
 
 
-def _triple_test(kab: tuple, kbc: tuple, row_a: list, col_c: list):
-    """Associativity of (a, b, c), given the cells (a, b) and (b, c) and
-    the cells of row a and column c.  The test waits on (a, b), then on
-    (b, c), then on whichever of (ab, c) and (a, bc) comes first in
-    row-major order while unbound; it reads no other cell.  No cell value
-    is None, so ``get`` tells an unbound cell."""
+def _triple_test(a: int, b: int, c: int, n: int):
+    """Associativity of (a, b, c) as the module states it: the bracketings
+    (ab)c and a(bc) are equal, NC absorbing.  Cell (i, j) is the variable
+    ``i * n + j``, so int order is row-major order.  The test waits on
+    (a, b), then on (b, c), then on whichever of (ab, c) and (a, bc) is
+    unbound, the first of them if both are; it reads no other cell.  No
+    cell value is None, so ``get`` tells an unbound cell."""
+    kab = a * n + b
+    kbc = b * n + c
+    row_a = a * n
 
     def test(bound):
         ab = bound.get(kab)
@@ -193,28 +197,14 @@ def _triple_test(kab: tuple, kbc: tuple, row_a: list, col_c: list):
         bc = bound.get(kbc)
         if bc is None:
             return kbc
-        if ab is NC:
-            if bc is NC:
-                return True
-            kr = row_a[bc]
-            right = bound.get(kr)
-            if right is None:
-                return kr
-            return right is NC
-        kl = col_c[ab]
-        left = bound.get(kl)
-        if bc is NC:
-            if left is None:
-                return kl
-            return left is NC
-        kr = row_a[bc]
-        right = bound.get(kr)
+        left = NC if ab is NC else bound.get(ab * n + c)
+        right = NC if bc is NC else bound.get(row_a + bc)
         if left is None:
-            if right is None and kr < kl:
-                return kr
-            return kl
+            if right is None:
+                return min(ab * n + c, row_a + bc)
+            return ab * n + c
         if right is None:
-            return kr
+            return row_a + bc
         return left == right
 
     return test
@@ -222,8 +212,9 @@ def _triple_test(kab: tuple, kbc: tuple, row_a: list, col_c: list):
 
 def _table_problem(n: int, allow_nc: bool, partial) -> tuple:
     """The search behind :func:`enumerate_associative_tables`: one variable
-    per cell in row-major order and one constraint per triple, with the
-    grid of fixed and UNSET cells it was built from."""
+    per cell, the int ``i * n + j`` for cell (i, j), declared in row-major
+    order, and one constraint per triple, with the grid of fixed and UNSET
+    cells it was built from."""
     if n < 1:
         raise DomainError("table size must be at least 1")
     if partial is not None:
@@ -235,22 +226,16 @@ def _table_problem(n: int, allow_nc: bool, partial) -> tuple:
 
     problem = Problem()
     searched = list(range(n)) + ([NC] if allow_nc else [])
-    rows = [[(x, y) for y in range(n)] for x in range(n)]
-    cols = [[rows[x][y] for x in range(n)] for y in range(n)]
     for i in range(n):
         for j in range(n):
             fixed = grid[i][j]
-            if fixed is UNSET:
-                problem.add_variable(rows[i][j], searched)
-            else:
+            if fixed is not UNSET:
                 _check_entry(fixed, n)
-                problem.add_variable(rows[i][j], [fixed])
+            problem.add_variable(i * n + j, searched if fixed is UNSET else [fixed])
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                problem.add_constraint(
-                    [(a, b)], _triple_test(rows[a][b], rows[b][c], rows[a], cols[c])
-                )
+                problem.add_constraint([a * n + b], _triple_test(a, b, c, n))
     return problem, grid
 
 
@@ -274,7 +259,7 @@ def enumerate_associative_tables(
 
 def _solution_table(solution: dict, n: int) -> CompositionTable:
     return CompositionTable(
-        tuple(tuple(solution[(i, j)] for j in range(n)) for i in range(n))
+        tuple(tuple(solution[i * n + j] for j in range(n)) for i in range(n))
     )
 
 
@@ -357,7 +342,7 @@ def associative_table_orbits(
         inverse = [0] * n
         for a, image in enumerate(sigma):
             inverse[image] = a
-        walk = tuple(((i, j), (inverse[i], inverse[j])) for i, j in unset)
+        walk = tuple((i * n + j, inverse[i] * n + inverse[j]) for i, j in unset)
         image_rank = {v: sigma[v] for v in range(n)}
         image_rank[NC] = n
         problem.add_constraint([], _lex_leader(walk, rank, image_rank))

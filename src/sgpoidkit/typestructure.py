@@ -44,10 +44,12 @@ class TypeStructure:
     def __post_init__(self) -> None:
         object.__setattr__(self, "doms", tuple(self.doms))
         object.__setattr__(self, "cods", tuple(self.cods))
+        if type(self.m) is not int:
+            raise DomainError(f"object count {self.m!r} is not an int")
         if len(self.doms) != len(self.cods):
             raise DomainError("doms and cods must have equal length")
         for obj in (*self.doms, *self.cods):
-            if not isinstance(obj, int) or not 0 <= obj < self.m:
+            if type(obj) is not int or not 0 <= obj < self.m:
                 raise DomainError(f"object {obj!r} outside 0..{self.m - 1}")
 
     def to_json(self) -> dict:

@@ -125,6 +125,10 @@ def test_one_more_arrow_refuses_arcs_off_its_objects():
         one_more_arrow({(0, 2)}, 3, added_object=True)  # object 2 is the fresh one
     with pytest.raises(DomainError):
         one_more_arrow({(-1, 0)}, 2)
+    # Ends are ints, not bools: (True, 0) is not read as the arc (1, 0).
+    for arc in ((0, 0.5), ("0", "0"), (True, 0)):
+        with pytest.raises(DomainError):
+            one_more_arrow({arc}, 2)
 
 
 def test_digraph_isomorphisms_loop_relabeling():
@@ -465,6 +469,10 @@ def test_graph_validation():
     for arc in ((0, 1.7), ("0", "1"), (False, True)):
         with pytest.raises(DomainError):
             ArrowTypeGraph(2, frozenset({arc}))
+    # So is the object count, which to_json writes as given.
+    for m in (1.0, True):
+        with pytest.raises(DomainError):
+            ArrowTypeGraph(m, frozenset({(0, 0)}))
 
 
 def test_graph_json_round_trip():

@@ -230,5 +230,10 @@ def test_arrow_map_validation():
         ArrowMap(2, 2, (0,))
     with pytest.raises(DomainError):
         ArrowMap(1, 2, (5,))
+    # Images and sizes are ints, not bools or floats.
+    with pytest.raises(DomainError):
+        ArrowMap(1, 2, (True,))
+    with pytest.raises(DomainError):
+        ArrowMap(1.0, 2, (0,))
     with pytest.raises(DomainError):
         ArrowMap(2, 2, (0, 0)).inverse()

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from sgpoidkit import (
     NC,
+    UNSET,
     CompositionTable,
     ConfigurationError,
     Problem,
+    associative_table_orbits,
     enumerate_associative_tables,
     find_morphisms,
     genrep,
@@ -260,6 +262,9 @@ def test_moves_are_undone_on_backtrack():
 
 SIX = two_type_six_arrow()
 EMPTY_3 = CompositionTable(((NC,) * 3,) * 3)
+# The size-5 grid of the benchmark's tables workload: rows 0 and 1 are
+# zero, the rest is left to the search.
+ZERO_ROWS_5 = [[0] * 5] * 2 + [[UNSET] * 5] * 3
 
 
 @pytest.fixture
@@ -288,6 +293,9 @@ def work(monkeypatch):
 
 # Recorded while forward checking could still be switched off and the
 # representation search widened; removing both switches changed none.
+# The two orbit searches, recorded later, are the counts that the
+# benchmark's tables workload runs; their tests include the lex-leader
+# tests.
 @pytest.mark.parametrize(
     "run, result, tests, targets",
     [
@@ -296,6 +304,11 @@ def work(monkeypatch):
             lambda: len(list(enumerate_associative_tables(3, allow_nc=True))),
             442, 14917, 0,
         ),
+        (lambda: sum(k for _, k in associative_table_orbits(4)), 3492, 28129, 0),
+        (
+            lambda: sum(k for _, k in associative_table_orbits(5, partial=ZERO_ROWS_5)),
+            3020, 60413, 0,
+        ),
         (lambda: len(list(infer_types(SIX, 2))), 2, 8, 0),
         (lambda: len(list(find_morphisms(SIX, SIX, strict=True))), 6, 526, 0),
         (lambda: len(list(find_morphisms(SIX, SIX))), 9, 489, 0),
@@ -303,8 +316,9 @@ def work(monkeypatch):
         (lambda: minimal_representation(EMPTY_3)[1], (1, 3), 513, 1),
     ],
     ids=[
-        "tables-3", "tables-3-nc", "infer-types", "strict-morphisms",
-        "morphisms", "represent-six", "represent-empty-3",
+        "tables-3", "tables-3-nc", "orbits-4", "orbits-5-zero-rows",
+        "infer-types", "strict-morphisms", "morphisms", "represent-six",
+        "represent-empty-3",
     ],
 )
 def test_solver_work_and_targets_are_pinned(run, result, tests, targets, work):

@@ -290,6 +290,11 @@ def test_type_structure_validation():
         TypeStructure(1, (0, 1), (0, 0))
     with pytest.raises(DomainError):
         TypeStructure(2, (0,), (0, 1))
+    # Objects and their count are ints, not bools or floats.
+    with pytest.raises(DomainError):
+        TypeStructure(2, (True, 0), (0, 1))
+    with pytest.raises(DomainError):
+        TypeStructure(1.5, (0,), (1,))
 
 
 def test_infer_types_rejects_nonpositive_m(ff):
