@@ -288,11 +288,15 @@ def one_more_arrow(arcs, m: int, added_object: bool = False) -> list:
     With ``added_object`` the object m-1 is fresh (no arc may touch it) and
     the new arc must touch it; candidates are tried as (i, m-1), (m-1, i)
     for each older object i, then the loop (m-1, m-1).  Otherwise
-    candidates run in row-major order.  Arcs that are not pairs of int
-    (not bool) objects among these raise :class:`DomainError`.  Since the
-    arcs are closed, adding one arc leaves them closed exactly when its
+    candidates run in row-major order.  An ``m`` that is not an int (or is
+    a bool), or leaves no fresh object, and arcs that are not pairs of
+    int (not bool) objects among these raise :class:`DomainError`.  Since
+    the arcs are closed, adding one arc leaves them closed exactly when its
     one-pass closure in :func:`_closed_extensions` adds nothing else.
     """
+    if type(m) is not int or m < added_object:
+        least = int(added_object)
+        raise DomainError(f"object count {m!r} is not an int of at least {least}")
     arcs = frozenset(map(tuple, arcs))
     existing = m - added_object
     if not all(

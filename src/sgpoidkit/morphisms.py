@@ -11,6 +11,17 @@ for every source pair with ``ab = d`` the images must satisfy
   reflects composition.  A bijective strict morphism is an isomorphism.
 
 Morphisms are streamed in lexicographic order of their image vectors.
+
+A strict search with pairwise distinct images (``embed``, the digraph
+isomorphisms, the relabelings that keep a grid, strict bijective
+``find_morphisms`` and strict ``find_injective_morphisms``) gives each
+source arrow only the target arrows with the same power profile: how many
+distinct powers the arrow has and where they end (see
+:func:`_power_profile`).  Such a map sends the powers of a one to one onto
+the powers of its image, cell for cell, and each marker cell onto the
+same marker, so the profiles match, and the values removed have no
+solution.  Domains keep their order, so the solutions and their order are
+those of the unfiltered search.
 """
 
 from __future__ import annotations
@@ -97,6 +108,20 @@ def _pair_constraint(problem: Problem, target: Sequence, a, b, d) -> None:
         problem.add_constraint((a, b, d), test)
 
 
+def _power_profile(grid: Sequence, x: int) -> tuple:
+    """The number of distinct powers x, x^2, x^3, ... of arrow x, where
+    x^(k+1) is the cell (x^k, x), and where the powers end: the position
+    of the power they return to, or the marker (NC, UNSET) they reach."""
+    position: dict = {}
+    p = x
+    while p not in position:
+        position[p] = len(position)
+        p = grid[p][x]
+        if not isinstance(p, int):
+            return len(position), p
+    return len(position), position[p]
+
+
 def _morphism_solutions(
     source: Sequence, target: Sequence, strict: bool, distinct: bool
 ) -> Iterator[tuple]:
@@ -105,12 +130,26 @@ def _morphism_solutions(
     cell (a, b) holding d to a cell holding the image of d.  A cell that
     holds a marker instead of an arrow (NC, UNSET) is sent to a cell
     holding the same marker; NC cells only constrain when ``strict``.
-    ``distinct`` asks for pairwise distinct images."""
+    ``distinct`` asks for pairwise distinct images.
+
+    When ``strict`` and ``distinct``, arrow a's domain is the target
+    arrows, in ascending order, whose power profile equals a's.  Every
+    cell then constrains, and an injective map keeps powers apart, so a
+    solution maps the powers of a one to one onto those of its image and
+    ends them at the same position or marker.  The target's arrows are
+    grouped by profile once per call, reading each one's powers; the
+    other searches keep every target arrow in every domain."""
     n = len(source)
-    problem = Problem()
     images = list(range(len(target)))
+    domains = [images] * n
+    if strict and distinct:
+        by_profile: dict = {}
+        for y in images:
+            by_profile.setdefault(_power_profile(target, y), []).append(y)
+        domains = [by_profile.get(_power_profile(source, a), []) for a in range(n)]
+    problem = Problem()
     for a in range(n):
-        problem.add_variable(a, images)
+        problem.add_variable(a, domains[a])
     if distinct:
         problem.add_all_different(range(n))
     for a in range(n):

@@ -129,6 +129,12 @@ def test_one_more_arrow_refuses_arcs_off_its_objects():
     for arc in ((0, 0.5), ("0", "0"), (True, 0)):
         with pytest.raises(DomainError):
             one_more_arrow({arc}, 2)
+    # So is the object count: True is not read as 1.
+    for m in (1.5, "2", True):
+        with pytest.raises(DomainError):
+            one_more_arrow({(0, 0)}, m)
+    with pytest.raises(DomainError):
+        one_more_arrow(set(), 0, added_object=True)  # no object to be the fresh one
 
 
 def test_digraph_isomorphisms_loop_relabeling():

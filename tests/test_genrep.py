@@ -16,6 +16,7 @@ from sgpoidkit import (
     DomainError,
     ResourceLimitError,
     TransformationArrow,
+    associative_table_orbits,
     check_morphism,
     compose_arrows,
     derive_table,
@@ -295,8 +296,9 @@ def test_lazy_products_match_derive_table_on_all_small_targets():
 
 def test_minimal_representation_computes_few_cells(monkeypatch):
     # The 3-arrow null semigroup is tried on T_2, T_3 and T_4 and embeds in
-    # T_4; the searches compute 709 cells, where the three tables hold
-    # 16 + 729 + 65,536.
+    # T_4; the searches compute 764 cells, where the three tables hold
+    # 16 + 729 + 65,536.  Most of T_4's 647 are its arrows' powers, read
+    # once to group the arrows by power profile.
     built = []
     build = genrep.full_transformation_sgpoid
 
@@ -309,7 +311,7 @@ def test_minimal_representation_computes_few_cells(monkeypatch):
     assert (degrees, amap.images) == ((4,), (0, 1, 2))
     assert [len(t.arrows) for t in built] == [4, 27, 256]
     cells = [sum(map(len, t.products)) for t in built]
-    assert cells == [13, 302, 394]
+    assert cells == [5, 112, 647]
 
 
 def test_minimal_representations_are_unchanged():
@@ -324,6 +326,23 @@ def test_minimal_representations_are_unchanged():
     assert len(records) == 271
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "f1b593799c1294d242f416354a9f778a1553fe13200248478d72791a2e22a730"
+
+
+@pytest.mark.slow
+def test_minimal_representations_of_all_4_arrow_classes_are_unchanged():
+    # One table of each of the 424 typable classes of associative 4-arrow
+    # tables, NC allowed.  The digest was recorded with every target arrow
+    # in every domain, so it checks that the power-profile filter of the
+    # strict injective searches changes no answer.
+    records = []
+    for table, _ in associative_table_orbits(4, allow_nc=True):
+        if minimal_objects(table) is None:
+            continue
+        graph, degrees, amap = minimal_representation(table)
+        records.append([graph.to_json(), list(degrees), list(amap.images)])
+    assert len(records) == 424
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "48d481bdf3880df19e3d6bc791ce24ced4418cf2838f168ce4a67399748790db"
 
 
 @pytest.mark.parametrize(

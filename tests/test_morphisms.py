@@ -188,6 +188,47 @@ def test_injective_search_allows_larger_targets(z2, six_arrow):
         assert check_morphism(z2, six_arrow, amap)
 
 
+def test_strict_injective_search_matches_oracle_on_random_pairs():
+    # The strict injective search gives each source arrow only the target
+    # arrows with its power profile; it must still find every injective
+    # strict morphism.  Half the targets have the source planted at random
+    # images, so that such a morphism exists.
+    from hypothesis import given, settings, strategies as st
+
+    def tables(n):
+        values = st.one_of(st.integers(min_value=0, max_value=n - 1), st.none())
+        return st.lists(values, min_size=n * n, max_size=n * n).map(
+            lambda cells: [[cells[i * n + j] for j in range(n)] for i in range(n)]
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def run(data):
+        sn = data.draw(st.integers(min_value=1, max_value=3))
+        tn = data.draw(st.integers(min_value=1, max_value=4))
+        source = data.draw(tables(sn))
+        target = data.draw(tables(tn))
+        if tn >= sn and data.draw(st.booleans()):
+            images = data.draw(st.permutations(range(tn)))[:sn]
+            for a in range(sn):
+                for b in range(sn):
+                    d = source[a][b]
+                    target[images[a]][images[b]] = None if d is None else images[d]
+        ours = [
+            m.images
+            for m in find_injective_morphisms(
+                from_grid(source), from_grid(target), strict=True
+            )
+        ]
+        assert ours == [
+            images
+            for images in brute_force_morphisms(source, target, strict=True)
+            if len(set(images)) == sn
+        ]
+
+    run()
+
+
 def test_permissive_targets_need_not_be_semigroupoids(loop_plus_stray):
     # A target failing associativity can still receive permissive maps.
     target = CompositionTable(((0, 1), (0, 0)))

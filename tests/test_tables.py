@@ -381,6 +381,37 @@ def test_orbit_count_of_seeded_partial_grids_matches_listing():
     assert symmetric >= 10 and with_nc >= 10 and completed >= 20
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_symmetry_group_of_random_partial_grids_matches_brute_force(data):
+    # Grids of arrows, NC and UNSET cells, not associative in general, kept
+    # by a drawn relabeling sigma: each cell orbit of sigma gets one drawn
+    # value, carried along the orbit, or UNSET where the value would not
+    # come back.  Half of them then get one more drawn cell, which may
+    # break some of the symmetry.
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    sigma = data.draw(st.permutations(range(n)))
+    values = st.one_of(
+        st.integers(min_value=0, max_value=n - 1), st.just(NC), st.just(UNSET)
+    )
+    rows = [[None] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if rows[i][j] is not None:
+            continue
+        orbit, v = {}, data.draw(values)
+        while (i, j) not in orbit:
+            orbit[i, j] = v
+            i, j = sigma[i], sigma[j]
+            v = v if v is NC or v is UNSET else sigma[v]
+        back = v == orbit[i, j]
+        for (k, l), w in orbit.items():
+            rows[k][l] = w if back else UNSET
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        rows[i][j] = data.draw(values)
+    assert _symmetry_group(rows) == _relabelings_keeping(rows)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("marked", [0, 1])
 def test_nc_and_unset_cells_are_not_swapped(n, marked):
