@@ -7,8 +7,8 @@ such graphs by three independent methods (combinatorial brute force,
 single-arc extension, single-arc extension followed by transitive closure)
 and keeps each class in a database as its canonical code: the sorted codes
 a * m + b of the arcs (a, b) of its lexicographically least relabeling on m
-objects, found by a search that branches only on tied arcs and skips
-branches an automorphism maps onto explored ones.
+objects, found by a search that labels one object at a time, branches only
+on tied rows and skips branches an automorphism maps onto explored ones.
 Both extension methods run one row step in ascending row order; it adds
 one arc to every stored class of a row, closes the result, and inserts
 the children that pass a canonical-deletion filter.
@@ -41,11 +41,11 @@ from .tables import NC, CompositionTable
 from .typestructure import TypeStructure
 
 # Cost guards: scan nodes of one brute-force cell (row 7's largest cell
-# takes 0.15 million, about 2 s), arcs read by one canonical-form search
-# (10 million take about 3 s), transformation degree for functional
-# digraphs.
+# takes 0.15 million, about 2 s), steps of work of one canonical-form
+# search (4 million take 0.5 s on loops, 3 s on a path), transformation
+# degree for functional digraphs.
 BRUTE_FORCE_LIMIT = 5 * 10**5
-CANONICAL_LIMIT = 10**7
+CANONICAL_LIMIT = 4 * 10**6
 FUNCTIONAL_DEGREE_LIMIT = 5
 
 # The incremental method cannot reach the complete graph on three objects
@@ -205,13 +205,14 @@ def _closed_extensions(arcs: frozenset, m: int, max_objects: int) -> Iterator[tu
 
 def _extension_orbits(arcs: frozenset, m: int, max_objects: int) -> Iterator[tuple]:
     """The first of the :func:`_closed_extensions` in each orbit of the
-    permutations of twin objects (see :func:`_twin_classes`).  Such a
+    permutations of twin objects (see :func:`_twin_finder`).  Such a
     permutation is an automorphism of the arcs, and closure commutes with
     relabeling, so two arcs in one orbit give isomorphic extensions with
     the same arc and object counts.  An arc's orbit is fixed by the twin
     classes of its ends and by whether it is a loop; the fresh objects m and
     m + 1 are classes of their own."""
-    least = _twin_classes(list(arcs), m) + [m, m + 1]
+    twin = _twin_finder(arcs, m)
+    least = [twin(v) for v in range(m)] + [m, m + 1]
     seen = set()
     for extension in _closed_extensions(arcs, m, max_objects):
         d, c = extension[0]
@@ -338,31 +339,37 @@ def digraph_isomorphisms(G, H) -> Iterator[dict]:
         yield {v: h_nodes[i] for v, i in zip(g_nodes, images)}
 
 
-def _twin_classes(edges: list, m: int) -> list:
-    """Least member of each object's twin class.  Objects u and v are twins
-    when swapping them maps the arcs onto themselves; twinship is an
-    equivalence (conjugating one twin swap by another gives a third), so
-    comparing with each class's least member is enough."""
+def _twin_finder(edges: Iterable, m: int):
+    """A function naming the twin class of an object by its first member
+    asked for.  Objects u and v are twins when swapping them maps the arcs
+    onto themselves; twinship is an equivalence (conjugating one twin swap
+    by another gives a third).  Twins with no arc between them have the same
+    loop, heads and tails; twins joined both ways have them once each is
+    added to its own heads and tails.  Conversely objects that share either
+    key are twins, so an object is named after the first with its key."""
     out = [0] * m
     into = [0] * m
+    loop = [0] * m
     for u, v in edges:
-        out[u] |= 1 << v
-        into[v] |= 1 << u
-    least = list(range(m))
-    for v in range(m):
-        for u in range(v):
-            if least[u] != u:
-                continue
-            rest = ~((1 << u) | (1 << v))
-            if (
-                out[u] & rest == out[v] & rest
-                and into[u] & rest == into[v] & rest
-                and (out[u] >> u & 1) == (out[v] >> v & 1)
-                and (out[u] >> v & 1) == (out[v] >> u & 1)
-            ):
-                least[v] = u
-                break
-    return least
+        if u == v:
+            loop[u] = 1
+        else:
+            out[u] |= 1 << v
+            into[v] |= 1 << u
+    first: dict = {}
+
+    def twin(v: int) -> int:
+        u = first.get(v)
+        if u is None:
+            bit = 1 << v
+            apart = (out[v], into[v], loop[v])
+            joined = (out[v] | bit, into[v] | bit, loop[v])
+            u = first[v] = first.get(apart, first.get(joined, v))
+            if u == v:
+                first[apart] = first[joined] = v
+        return u
+
+    return twin
 
 
 def canonical_form(G) -> tuple:
@@ -370,162 +377,249 @@ def canonical_form(G) -> tuple:
     m is the object count and codes the sorted a * m + b of its arcs (a, b),
     so (0, ()) for no arcs.  Equal exactly for isomorphic inputs.
 
-    In a lexicographically minimal labeling the objects are numbered
-    0, 1, 2, ... in order of first appearance in the sorted arc list
-    (otherwise swapping the offending pair of labels would shrink the
-    list).  The search therefore builds the output one arc at a time,
-    handing the next free labels to endpoints as they first occur.  With
-    fresh endpoints read as the next free labels, every remaining arc's
-    image is a lower bound of its final image, and the arc that comes next
-    attains its bound; so the next output arc is the least bound, and only
-    the arcs tied for it are branched on.  A branch whose output prefix
-    exceeds the best complete output is cut, comparing one element per
-    level.
+    The sorted arc list is row 0, then row 1, ..., row a holding the heads
+    b of the arcs (a, b).  Read as the int with bit m - 1 - b set for each
+    head b, the larger of two rows comes first in the lesser list, so the
+    search labels objects in order and keeps the greatest row sequence.
+    Objects are numbered by first appearance in the least list (otherwise a
+    swap of two labels would shrink it), so the objects seen as heads sit
+    in an ordered partition whose cells own consecutive labels, and unseen
+    objects follow.  Label i goes to an object of the cell owning it, or,
+    with no cell pending, to an unseen object with out-arcs.  That fixes its
+    row, with its heads in each cell at the cell's lowest labels and its
+    unseen heads as a new last cell.  Only the largest rows are branched
+    on, and the chosen row splits each cell it touches, heads first.  Cells
+    without out-arcs are passed, as their rows are empty in any order.  A
+    branch whose rows fall below the best complete labeling's is cut.
 
-    Tied arcs that an automorphism fixing the labeled objects maps onto an
-    arc already branched on lead to the same outputs and are skipped
-    (McKay & Piperno, "Practical graph isomorphism, II", 2014).  Two kinds
-    of automorphism are used: permutations of unlabeled twin objects
-    (objects whose swap preserves the arcs), and the automorphisms found
-    when a complete labeling repeats the best output.  Such a repeat also
-    shows that the current branch mirrors the explored branch where the two
-    paths part, so the search returns straight to that level.
+    Of twin candidates (objects whose swap preserves the arcs) one is
+    tried, and so is one of each orbit of the automorphisms that fix the
+    labeled objects among those found when a complete labeling repeats the
+    best rows (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    Such a repeat also shows that the branch mirrors the explored one where
+    the two paths part, so the search returns straight to that level.
+    CANONICAL_LIMIT bounds the work: objects scanned, out-arcs read,
+    labelings stored and automorphism images taken.
     """
     arcs = _arcset(G)
     index = {x: i for i, x in enumerate(_nodes(arcs))}
     m = len(index)
     edges = [(index[d], index[c]) for d, c in arcs]
-    n = len(edges)
+    top = m - 1
+    heads: list = [[] for _ in range(m)]
+    loop = [0] * m
+    degree = [0] * m  # out-arcs, loop included
+    for d, c in edges:
+        degree[d] += 1
+        if d == c:
+            loop[d] = 1
+        else:
+            heads[d].append(c)
     limit = CANONICAL_LIMIT
-    label = [-1] * m
-    order: list = []  # objects in labeling order
-    path: list = [None] * n  # arc chosen at each level
-    out = [0] * n  # image a * m + b of the chosen arc at each level
-    best: list = []  # output, labels and path of the least complete output
+    # The ordered partition: lab[p] is the object with label p, pos its
+    # inverse.  A cell is named by its end label e and holds the labels
+    # start[e]..e-1; cell[x] names the cell of object x.  The unseen objects
+    # hold the labels from start[unseen] on.
+    unseen = m + 1
+    lab = list(range(m))
+    pos = lab[:]
+    cell = [unseen] * m
+    start = [0] * (m + 2)
+    taken = [0] * (m + 2)  # heads of one row counted per cell, then reset
+    trail: list = []  # (cell, its start, end of the part split off), to undo
+    rows = [0] * m  # row ints of the current branch, by label
+    path = [0] * m  # object labeled at each level
+    best_rows, best_lab, best_pos, best_path = [], [], [], []  # the best leaf's
     automorphisms: list = []
-    twins: list = []
-    nodes = 0
-    reads = 0  # arcs scanned by the search nodes, the work the limit bounds
-    resume = n + 1  # returned when no level is to be jumped back to
+    twin = None  # a _twin_finder, once two candidates tie
+    nodes = work = 0
+    resume = m + 1  # returned when no level is to be jumped back to
 
-    def twin_key(arc) -> tuple:
-        # Equal for two arcs exactly when permuting unlabeled twins maps one
-        # onto the other.
-        u, v = arc
-        return (
-            u if label[u] >= 0 else m + twins[u],
-            v if label[v] >= 0 else m + twins[v],
-            u == v,
-        )
+    def descend(depth: int, i: int, equal: bool, x: int, c: int):
+        # Give x (unless -1) of cell c label i at level depth, then go on
+        # while a level has one candidate; equal: the rows so far are the
+        # best leaf's.  Returns None after pushing the frame of a level with
+        # several, or the level to resume at (resume: the parent's own loop).
+        nonlocal nodes, work, twin
+        while True:
+            if x < 0:
+                nodes += 1
+                if work > limit:
+                    raise ResourceLimitError(
+                        f"canonical form search of {len(edges)} arcs on {m} objects exceeded "
+                        f"{limit} steps of work ({work} steps in {nodes} search nodes)"
+                    )
+                while i < m:
+                    x = lab[i]
+                    c = cell[x]
+                    if c == i + 1:  # x alone in its cell
+                        work += 1
+                        candidates = None
+                        if degree[x]:
+                            break
+                        if equal and best_rows[i]:
+                            return resume
+                        rows[i] = 0
+                        i += 1
+                        continue
+                    end = m if c == unseen else c
+                    work += end - i
+                    candidates = [y for y in lab[i:end] if degree[y]]
+                    if candidates:
+                        x = candidates[0]
+                        break
+                    # Rows i..end-1 are empty in any order.
+                    if equal and any(best_rows[i:end]):
+                        return resume
+                    rows[i:end] = [0] * (end - i)
+                    i = end
+                else:
+                    work += m
+                    if not equal:
+                        best_rows[:], best_lab[:], best_pos[:] = rows, lab, pos
+                        best_path[:] = path[:depth]
+                        return resume
+                    g = [best_lab[pos[y]] for y in range(m)]
+                    automorphisms.append((g, sum([1 << y for y in range(m) if g[y] != y])))
+                    return next(l for l, y in enumerate(path) if y != best_path[l])
+                if candidates and len(candidates) > 1:
+                    # Each candidate takes label i and the rest of its cell
+                    # the labels after it; the largest rows tie.
+                    start[c] = i + 1
+                    high = -1
+                    for x in candidates:
+                        row = loop[x] << (top - i)
+                        for h in heads[x]:
+                            d = cell[h]
+                            row |= 1 << (top - start[d] - taken[d])
+                            taken[d] += 1
+                        for h in heads[x]:
+                            taken[cell[h]] = 0
+                        work += degree[x]
+                        if row > high:
+                            high = row
+                            tied = [x]
+                        elif row == high:
+                            tied.append(x)
+                    start[c] = i
+                    if len(tied) > 1:
+                        # One of each twin class: twins are swapped by an
+                        # automorphism fixing the rest.
+                        if twin is None:
+                            twin = _twin_finder(edges, m)
+                            work += len(edges)
+                        classes: dict = {}
+                        for x in tied:
+                            classes.setdefault(twin(x), x)
+                        work += len(tied)
+                        tied = list(classes.values())
+                    x = tied[0]
+                    if len(tied) > 1:
+                        # depth, label, cell, candidates left, explored, equal,
+                        # trail length to undo to, then three for skippable
+                        frames.append(
+                            [depth, i, c, iter(tied), [], equal, len(trail), set(), [], 0]
+                        )
+                        return None
+            # x takes label i; the rest of its cell follows.
+            p = pos[x]
+            y = lab[i]
+            lab[p], pos[y], lab[i], pos[x] = y, p, x, i
+            if c != i + 1:
+                cell[x] = i + 1
+                start[i + 1], start[c] = i, i + 1
+                trail.append((c, i, i + 1))
+            row = loop[x] << (top - i)
+            touched = []
+            for h in heads[x]:
+                d = cell[h]
+                k = taken[d]
+                if not k:
+                    touched.append(d)
+                taken[d] = k + 1
+                q = start[d] + k
+                row |= 1 << (top - q)
+                p = pos[h]
+                y = lab[q]
+                lab[p], pos[y], lab[q], pos[h] = y, p, h, q
+            for d in touched:
+                s = start[d]
+                new = s + taken[d]
+                taken[d] = 0
+                if new != d:
+                    for q in range(s, new):
+                        cell[lab[q]] = new
+                    start[new], start[d] = s, new
+                    trail.append((d, s, new))
+            work += degree[x]
+            if equal:
+                if row < best_rows[i]:
+                    return resume
+                equal = row == best_rows[i]
+            rows[i] = row
+            path[depth] = x
+            depth += 1
+            i += 1
+            x = -1
 
-    def skippable(arc, explored) -> bool:
-        # True when an automorphism fixing the labeled objects maps arc onto
-        # an explored one.
-        if not twins:
-            twins.extend(_twin_classes(edges, m))
-        key = twin_key(arc)
-        if any(twin_key(e) == key for e in explored):
-            return True
-        fixing = [g for g in automorphisms if all(g[x] == x for x in order)]
-        if not fixing:
-            return False
-        orbit = set(explored)
-        todo = list(explored)
+    def skippable(frame: list, x: int) -> bool:
+        # True when an automorphism fixing the labeled objects maps x onto
+        # an explored candidate.  After its first seven fields the frame
+        # keeps the orbit of its explored candidates under the stored
+        # automorphisms that fix its path, those automorphisms, and how many
+        # of the stored ones it has checked.
+        nonlocal work
+        depth, explored, orbit, fixing, checked = frame[0], frame[4], *frame[7:]
+        todo = [y for y in explored if y not in orbit]
+        if checked < len(automorphisms):
+            labeled = sum([1 << y for y in path[:depth]])
+            fresh = [g for g, moved in automorphisms[checked:] if not moved & labeled]
+            work += depth + len(automorphisms) - checked
+            frame[9] = len(automorphisms)
+            if fresh:
+                fixing += fresh
+                todo += orbit
+        orbit.update(todo)
         while todo:
-            u, v = todo.pop()
+            y = todo.pop()
+            work += len(fixing)
             for g in fixing:
-                image = (g[u], g[v])
-                if image not in orbit:
-                    orbit.add(image)
-                    todo.append(image)
-        return arc in orbit
+                if g[y] not in orbit:
+                    orbit.add(g[y])
+                    todo.append(g[y])
+        return x in orbit
 
-    def open_level(depth: int, remaining: list, equal: bool):
-        # equal: the output so far equals the best output's prefix.  Pushes
-        # the level's frame and returns None, or returns the level to
-        # resume at when the level ends at once (resume for its parent's
-        # own loop).
-        nonlocal nodes, reads
-        nodes += 1
-        reads += len(remaining)
-        if reads > limit:
-            raise ResourceLimitError(
-                f"canonical form search of {n} arcs exceeded {limit} arc reads "
-                f"({reads} reads in {nodes} search nodes)"
-            )
-        if depth == n:
-            if not equal:
-                best[:] = [out[:], label[:], path[:]]
-                return resume
-            inverse = [0] * m
-            for x, i in enumerate(best[1]):
-                inverse[i] = x
-            automorphisms.append([inverse[i] for i in label])
-            level = 0
-            while path[level] == best[2][level]:
-                level += 1
-            return level
-        free = len(order)
-        low = -1
-        tied: list = []
-        for arc in remaining:
-            u, v = arc
-            a = label[u]
-            b = label[v]
-            if a < 0:
-                a = free
-                if b < 0:
-                    b = free if u == v else free + 1
-            elif b < 0:
-                b = free
-            code = a * m + b
-            if code < low or low < 0:
-                low = code
-                tied = [arc]
-            elif code == low:
-                tied.append(arc)
-        if equal:
-            target = best[0][depth]
-            if low > target:
-                return resume
-            equal = low == target
-        out[depth] = low
-        # depth, remaining, tied arcs left to try, explored, free, equal
-        frames.append([depth, remaining, iter(tied), [], free, equal])
-        return None
-
-    # One frame per open level of the search, so its depth (one level per
-    # arc) is not bounded by the interpreter's recursion limit.
+    # One frame per level with several candidates, so the search depth is
+    # not bounded by the interpreter's recursion limit.
     frames: list = []
-    back = open_level(0, edges, False)
+    back = descend(0, 0, False, -1, 0)
     while frames:
         frame = frames[-1]
-        depth, remaining, tied, explored, free, equal = frame
+        depth, i, c, tied, explored, equal, mark = frame[:7]
         if back is not None:
             # A branch of this level has ended.
-            while len(order) > free:
-                label[order.pop()] = -1
+            while len(trail) > mark:
+                d, s, new = trail.pop()
+                for q in range(s, new):
+                    cell[lab[q]] = d
+                start[d] = s
             if back < depth:
                 frames.pop()
                 continue
-            # The branch just explored leaves the best output with this prefix.
+            # The branch just explored leaves the best rows with this prefix.
             frame[5] = equal = True
-        for arc in tied:
-            if not (explored and skippable(arc, explored)):
+        for x in tied:
+            if not (explored and automorphisms and skippable(frame, x)):
                 break
         else:
             frames.pop()
             back = resume
             continue
-        explored.append(arc)
-        path[depth] = arc
-        for x in arc:
-            if label[x] < 0:
-                label[x] = len(order)
-                order.append(x)
-        back = open_level(depth + 1, [e for e in remaining if e is not arc], equal)
+        explored.append(x)
+        work += 1
+        back = descend(depth, i, equal, x, c)
 
-    return m, tuple(best[0])
+    return m, tuple(sorted([best_pos[d] * m + best_pos[c] for d, c in edges]))
 
 
 class GraphSignature(NamedTuple):
@@ -683,20 +777,15 @@ class ClassDatabase:
         staging = Path(tempfile.mkdtemp(prefix=".saving-", dir=directory))
         names: list = []
 
-        def write(name: str, payload: dict) -> None:
-            (staging / name).write_text(
-                json.dumps(payload, indent=1, sort_keys=True) + "\n"
-            )
+        def write(name: str, text: str) -> None:
+            (staging / name).write_text(text)
             names.append(name)
 
         try:
             for (m, n), bucket in sorted(self._buckets.items()):
-                classes = [[list(divmod(c, m)) for c in codes] for codes in sorted(bucket)]
-                write(
-                    f"nodes{m:02d}_arcs{n:03d}.json",
-                    {"node_count": m, "arc_count": n, "classes": classes},
-                )
-            write("meta.json", {"complete_arrows": self.complete_arrows})
+                write(f"nodes{m:02d}_arcs{n:03d}.json", _bucket_text(m, n, bucket))
+            meta = {"complete_arrows": self.complete_arrows}
+            write("meta.json", json.dumps(meta, indent=1, sort_keys=True) + "\n")
             for name in names:
                 os.replace(staging / name, directory / name)
         finally:
@@ -739,6 +828,21 @@ class ClassDatabase:
                 if n <= INCREMENTAL_ARROW_LIMIT or complete_k3:
                     database._coverage[n] = m
         return database
+
+
+def _bucket_text(m: int, n: int, bucket: set) -> str:
+    """The file of a bucket: the bytes that json.dumps(indent=1,
+    sort_keys=True) gives for {"node_count": m, "arc_count": n, "classes":
+    the decoded classes in sorted order} and a newline, formatted directly,
+    since any indent sends json to its pure-Python encoder."""
+    arcs = ["   [\n    %d,\n    %d\n   ]" % divmod(code, m) for code in range(m * m)]
+    classes = ",\n".join(
+        ["  [\n" + ",\n".join([arcs[c] for c in codes]) + "\n  ]" if codes else "  []"
+         for codes in sorted(bucket)]
+    )
+    return '{\n "arc_count": %d,\n "classes": [\n%s\n ],\n "node_count": %d\n}\n' % (
+        n, classes, m
+    )
 
 
 def seed(database: ClassDatabase) -> ClassDatabase:

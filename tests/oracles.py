@@ -7,6 +7,10 @@ filtering, deliberately sharing no code with the package under test.
 
 import itertools
 
+# Arcs read by one canonical_form_by_arcs search before it raises
+# RuntimeError.
+ARC_READ_LIMIT = 10**7
+
 
 def grid_associative(entries):
     """Four-case associativity on a raw grid (None = non-composable)."""
@@ -150,6 +154,200 @@ def digraph_canonical(arcs):
         if best is None or key < best:
             best = key
     return best
+
+
+def canonical_form_by_arcs(G) -> tuple:
+    """The arc-at-a-time search that ``sgpoidkit.arrowtype.canonical_form``
+    used before it labeled one object at a time, kept as the reference its
+    output must equal: the same (m, codes) on every input.
+
+    Lexicographically least compact relabeling, as its code (m, codes):
+    m is the object count and codes the sorted a * m + b of its arcs (a, b),
+    so (0, ()) for no arcs.  Equal exactly for isomorphic inputs.
+
+    In a lexicographically minimal labeling the objects are numbered
+    0, 1, 2, ... in order of first appearance in the sorted arc list
+    (otherwise swapping the offending pair of labels would shrink the
+    list).  The search therefore builds the output one arc at a time,
+    handing the next free labels to endpoints as they first occur.  With
+    fresh endpoints read as the next free labels, every remaining arc's
+    image is a lower bound of its final image, and the arc that comes next
+    attains its bound; so the next output arc is the least bound, and only
+    the arcs tied for it are branched on.  A branch whose output prefix
+    exceeds the best complete output is cut, comparing one element per
+    level.
+
+    Tied arcs that an automorphism fixing the labeled objects maps onto an
+    arc already branched on lead to the same outputs and are skipped
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).  Two kinds
+    of automorphism are used: permutations of unlabeled twin objects
+    (objects whose swap preserves the arcs), and the automorphisms found
+    when a complete labeling repeats the best output.  Such a repeat also
+    shows that the current branch mirrors the explored branch where the two
+    paths part, so the search returns straight to that level.
+    """
+    arcs = G.arcs if hasattr(G, "arcs") else frozenset(tuple(arc) for arc in G)
+    index = {x: i for i, x in enumerate({x for arc in arcs for x in arc})}
+    m = len(index)
+    edges = [(index[d], index[c]) for d, c in arcs]
+    n = len(edges)
+    limit = ARC_READ_LIMIT
+    label = [-1] * m
+    order: list = []  # objects in labeling order
+    path: list = [None] * n  # arc chosen at each level
+    out = [0] * n  # image a * m + b of the chosen arc at each level
+    best: list = []  # output, labels and path of the least complete output
+    automorphisms: list = []
+    twins: list = []
+    nodes = 0
+    reads = 0  # arcs scanned by the search nodes, the work the limit bounds
+    resume = n + 1  # returned when no level is to be jumped back to
+
+    def twin_key(arc) -> tuple:
+        # Equal for two arcs exactly when permuting unlabeled twins maps one
+        # onto the other.
+        u, v = arc
+        return (
+            u if label[u] >= 0 else m + twins[u],
+            v if label[v] >= 0 else m + twins[v],
+            u == v,
+        )
+
+    def skippable(arc, explored) -> bool:
+        # True when an automorphism fixing the labeled objects maps arc onto
+        # an explored one.
+        if not twins:
+            twins.extend(_twin_classes(edges, m))
+        key = twin_key(arc)
+        if any(twin_key(e) == key for e in explored):
+            return True
+        fixing = [g for g in automorphisms if all(g[x] == x for x in order)]
+        if not fixing:
+            return False
+        orbit = set(explored)
+        todo = list(explored)
+        while todo:
+            u, v = todo.pop()
+            for g in fixing:
+                image = (g[u], g[v])
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        return arc in orbit
+
+    def open_level(depth: int, remaining: list, equal: bool):
+        # equal: the output so far equals the best output's prefix.  Pushes
+        # the level's frame and returns None, or returns the level to
+        # resume at when the level ends at once (resume for its parent's
+        # own loop).
+        nonlocal nodes, reads
+        nodes += 1
+        reads += len(remaining)
+        if reads > limit:
+            raise RuntimeError(
+                f"canonical form search of {n} arcs exceeded {limit} arc reads "
+                f"({reads} reads in {nodes} search nodes)"
+            )
+        if depth == n:
+            if not equal:
+                best[:] = [out[:], label[:], path[:]]
+                return resume
+            inverse = [0] * m
+            for x, i in enumerate(best[1]):
+                inverse[i] = x
+            automorphisms.append([inverse[i] for i in label])
+            level = 0
+            while path[level] == best[2][level]:
+                level += 1
+            return level
+        free = len(order)
+        low = -1
+        tied: list = []
+        for arc in remaining:
+            u, v = arc
+            a = label[u]
+            b = label[v]
+            if a < 0:
+                a = free
+                if b < 0:
+                    b = free if u == v else free + 1
+            elif b < 0:
+                b = free
+            code = a * m + b
+            if code < low or low < 0:
+                low = code
+                tied = [arc]
+            elif code == low:
+                tied.append(arc)
+        if equal:
+            target = best[0][depth]
+            if low > target:
+                return resume
+            equal = low == target
+        out[depth] = low
+        # depth, remaining, tied arcs left to try, explored, free, equal
+        frames.append([depth, remaining, iter(tied), [], free, equal])
+        return None
+
+    # One frame per open level of the search, so its depth (one level per
+    # arc) is not bounded by the interpreter's recursion limit.
+    frames: list = []
+    back = open_level(0, edges, False)
+    while frames:
+        frame = frames[-1]
+        depth, remaining, tied, explored, free, equal = frame
+        if back is not None:
+            # A branch of this level has ended.
+            while len(order) > free:
+                label[order.pop()] = -1
+            if back < depth:
+                frames.pop()
+                continue
+            # The branch just explored leaves the best output with this prefix.
+            frame[5] = equal = True
+        for arc in tied:
+            if not (explored and skippable(arc, explored)):
+                break
+        else:
+            frames.pop()
+            back = resume
+            continue
+        explored.append(arc)
+        path[depth] = arc
+        for x in arc:
+            if label[x] < 0:
+                label[x] = len(order)
+                order.append(x)
+        back = open_level(depth + 1, [e for e in remaining if e is not arc], equal)
+
+    return m, tuple(best[0])
+
+
+def _twin_classes(edges, m):
+    """Least member of each object's twin class.  Objects u and v are twins
+    when swapping them maps the arcs onto themselves; twinship is an
+    equivalence (conjugating one twin swap by another gives a third), so
+    comparing with each class's least member is enough."""
+    out = [0] * m
+    into = [0] * m
+    for u, v in edges:
+        out[u] |= 1 << v
+        into[v] |= 1 << u
+    least = list(range(m))
+    for v in range(m):
+        for u in range(v):
+            if least[u] != u:
+                continue
+            rest = ~((1 << u) | (1 << v))
+            if (
+                out[u] & rest == out[v] & rest
+                and into[u] & rest == into[v] & rest
+                and (out[u] >> u & 1) == (out[v] >> v & 1)
+                and (out[u] >> v & 1) == (out[v] >> u & 1)
+            ):
+                least[v] = u
+                break
+    return least
 
 
 def brute_force_digraph_isomorphisms(g, h):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -33,6 +34,7 @@ from sgpoidkit import (
     type_quotient_map,
 )
 from sgpoidkit.arrowtype import (
+    _arcs_of,
     _canonical_deletion,
     _closed_extensions,
     _closure_arcs,
@@ -46,6 +48,7 @@ from .oracles import (
     arcs_transitively_closed,
     brute_force_digraph_isomorphisms,
     brute_force_graph_classes,
+    canonical_form_by_arcs,
     digraph_canonical,
     functional_digraph_classes,
 )
@@ -258,6 +261,35 @@ def test_canonical_form_matches_oracle_on_relabeled_census_classes():
         assert _decoded(canonical_form(relabeled)) == expected
 
 
+def test_canonical_form_equals_arc_search_on_census_classes():
+    # Every class with at most 8 arcs, under a seeded relabeling, gives its
+    # stored code, as does the arc-at-a-time search it replaced.
+    database = ClassDatabase()
+    enumerate_by_closure(database, 8)
+    codes = database._codes()
+    assert len(codes) == 1 + 2 + 7 + 21 + 70 + 218 + 721 + 2360 + 7952
+    for k, (m, code) in enumerate(codes):
+        arcs = _scrambled(_arcs_of(m, code), k)
+        assert canonical_form(arcs) == canonical_form_by_arcs(arcs) == (m, code)
+
+
+def test_canonical_form_matches_oracle_on_random_digraphs():
+    # Seeded digraphs on at most 6 of the labels 0..9, loops and 2-cycles
+    # allowed, so most are not transitively closed.
+    rng = random.Random(25)
+    for _ in range(4000):
+        m = rng.randint(1, 6)
+        labels = rng.sample(range(10), m)
+        density = rng.random()
+        arcs = {
+            (labels[d], labels[c])
+            for d in range(m)
+            for c in range(m)
+            if rng.random() < density
+        }
+        assert _decoded(canonical_form(arcs)) == digraph_canonical(arcs)
+
+
 def _scrambled(arcs, seed):
     nodes = sorted({x for a in arcs for x in a})
     labels = list(range(len(nodes)))
@@ -282,8 +314,8 @@ STAR6_PLUS_ARC = tuple((0, i) for i in range(1, 7)) + ((7, 8),)
 )
 def test_canonical_form_symmetric_worst_cases(canonical, monkeypatch):
     # Each was factorial for a search without automorphism pruning (10
-    # loops took about 30 s); now each reads at most 2,000 arcs (K7 reads
-    # its 49 arcs down one path of levels, 1,225 reads).
+    # loops took about 30 s); now each takes at most 2,000 steps of work
+    # (7 disjoint arcs take the most, 629).
     import sgpoidkit.arrowtype as arrowtype
 
     monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", 2000)
@@ -292,8 +324,8 @@ def test_canonical_form_symmetric_worst_cases(canonical, monkeypatch):
 
 
 def test_canonical_form_depth_is_not_bounded_by_recursion():
-    # The search opens one level per arc; 1,000 loops used to raise
-    # RecursionError.
+    # The search has one level per object it labels; 1,000 loops used to
+    # raise RecursionError.
     loops = [(x, x) for x in range(1000)]
     random.Random(0).shuffle(loops)
     assert _decoded(canonical_form(loops)) == tuple((i, i) for i in range(1000))
@@ -307,16 +339,44 @@ def test_canonical_form_step_guard(monkeypatch):
         canonical_form(STAR6_PLUS_ARC)
 
 
-def test_canonical_form_guard_bounds_arc_reads_not_nodes():
-    # Every arc of a path ties at the first level, and each branch follows
-    # the best output for many levels: about n**3 arc reads in n**2 nodes,
-    # so only a guard on the reads stops it within seconds.
-    path = [(i, i + 1) for i in range(600)]
-    random.Random(0).shuffle(path)
+def _chain(n):
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize(
+    "canonical, work",
+    [
+        (tuple((i, i + 1) for i in range(600)), 539_169),
+        (tuple((i, i + 1) for i in range(1000)), 2_182_025),
+        (tuple((i, i) for i in range(1000)), 1_503_498),
+        (_chain(10), 263),
+        (_chain(20), 1_728),
+        (_chain(30), 5_393),
+    ],
+    ids=["path-600", "path-1000", "loops-1000", "chain-10", "chain-20", "chain-30"],
+)
+def test_canonical_form_work_is_pinned(canonical, work, monkeypatch):
+    # The arc-at-a-time search read about n**3 arcs on a path of n arcs and
+    # was refused at 600; it was factorial on chains (1.7 s on 9 objects,
+    # refused on 10).  Labeling one object at a time, a path or n loops
+    # cost a few times n**2 steps (each branch of the path runs to its
+    # end), and the chain on k objects about k**3 / 6.  CANONICAL_LIMIT
+    # bounds the work done before each search node, and each pin is the
+    # least limit its search passes.
+    import sgpoidkit.arrowtype as arrowtype
+
+    monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", work)
+    assert _decoded(canonical_form(_scrambled(canonical, 0))) == canonical
+
+
+def test_canonical_form_guard_names_nodes_and_work(monkeypatch):
+    import sgpoidkit.arrowtype as arrowtype
+
+    monkeypatch.setattr(arrowtype, "CANONICAL_LIMIT", 10_000)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="arc reads") as excinfo:
-        canonical_form(path)
-    assert time.perf_counter() - start < 10
+    with pytest.raises(ResourceLimitError, match="steps of work") as excinfo:
+        canonical_form(_scrambled(tuple((i, i + 1) for i in range(600)), 0))
+    assert time.perf_counter() - start < 5
     assert "search nodes" in str(excinfo.value)
 
 
@@ -657,10 +717,11 @@ UNLABELED_TRANSITIVE = {1: 2, 2: 8, 3: 39, 4: 242, 5: 1895, 6: 19051}
 LABELED_TRANSITIVE = {1: 2, 2: 13, 3: 171, 4: 3994, 5: 154303}
 
 
+@functools.lru_cache(maxsize=None)
 def _classes_on_at_most(k):
     database = ClassDatabase()
     enumerate_by_closure(database, k * k, k)
-    return database.classes()
+    return tuple(database.classes())
 
 
 @pytest.mark.parametrize(
@@ -670,6 +731,18 @@ def _classes_on_at_most(k):
 )
 def test_classes_on_at_most_k_objects_count_unlabeled_transitive_relations(k):
     assert len(_classes_on_at_most(k)) == UNLABELED_TRANSITIVE[k]
+
+
+@pytest.mark.slow
+def test_canonical_form_equals_arc_search_on_transitive_relations():
+    # Every transitive relation on at most 6 points, under a seeded
+    # relabeling, gives its stored code, as does the arc-at-a-time search.
+    classes = _classes_on_at_most(6)
+    assert len(classes) == UNLABELED_TRANSITIVE[6]
+    for k, graph in enumerate(classes):
+        code = (graph.m, tuple(a * graph.m + b for a, b in graph.sorted_arcs))
+        arcs = _scrambled(graph.sorted_arcs, k)
+        assert canonical_form(arcs) == canonical_form_by_arcs(arcs) == code
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -996,6 +1069,25 @@ def test_closure_census_classes_are_pinned():
     records = [graph.to_json() for graph in database.classes()]
     assert len(records) == 1 + 2 + 7 + 21 + 70 + 218 + 721
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == CLOSURE6_CLASSES_SHA256
+
+
+def test_saved_buckets_are_the_bytes_of_json_dumps(tmp_path):
+    # save formats each bucket file itself; every file of a 7-arc build,
+    # the 0-arc class's among them, is what json.dumps(indent=1,
+    # sort_keys=True) gives.
+    database = ClassDatabase()
+    enumerate_by_closure(database, 7)
+    database.save(tmp_path)
+    for (m, n), bucket in database._buckets.items():
+        classes = [[list(divmod(c, m)) for c in codes] for codes in sorted(bucket)]
+        payload = {"node_count": m, "arc_count": n, "classes": classes}
+        text = (tmp_path / f"nodes{m:02d}_arcs{n:03d}.json").read_text()
+        assert text == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    empty = (tmp_path / "nodes00_arcs000.json").read_text()
+    assert '"classes": [\n  []\n ]' in empty
+    meta = {"complete_arrows": 7}
+    assert (tmp_path / "meta.json").read_text() == json.dumps(meta, indent=1) + "\n"
+    assert len(list(tmp_path.iterdir())) == len(database._buckets) + 1 == 49
 
 
 def test_database_load_recanonicalizes_edited_classes(tmp_path):
