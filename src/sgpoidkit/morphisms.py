@@ -89,20 +89,23 @@ def _pair_constraint(problem: Problem, target: Sequence, a, b, d) -> None:
         # NC, or another marker such as UNSET: the images' cell holds it too.
 
         def test(bound) -> bool:
-            if a in bound and b in bound:
-                return target[bound[a]][bound[b]] is d
+            x, y = bound[a], bound[b]
+            if x is not None and y is not None:
+                return target[x][y] is d
             return True
 
         problem.add_constraint((a, b), test)
     else:
 
         def test(bound) -> bool:
-            if a in bound and b in bound:
-                prod = target[bound[a]][bound[b]]
+            x, y = bound[a], bound[b]
+            if x is not None and y is not None:
+                prod = target[x][y]
                 if prod is NC:
                     return False
-                if d in bound:
-                    return prod == bound[d]
+                z = bound[d]
+                if z is not None:
+                    return prod == z
             return True
 
         problem.add_constraint((a, b, d), test)
@@ -158,8 +161,7 @@ def _morphism_solutions(
             if d is NC and not strict:
                 continue
             _pair_constraint(problem, target, a, b, d)
-    for solution in solve_all(problem):
-        yield tuple(solution[a] for a in range(n))
+    yield from solve_all(problem)
 
 
 def find_morphisms(

@@ -81,10 +81,13 @@ def cell_from_json(value):
 
 def rows_from_json(data: dict, cell=cell_from_json) -> tuple:
     """The ``entries`` of a table's JSON form, a list of lists, as a tuple
-    of rows with each value read by ``cell``."""
+    of rows with each value read by ``cell``.  A declared ``n`` must be
+    the number of rows."""
     entries = data["entries"]
     if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
         raise DomainError("entries must be a list of lists")
+    if "n" in data and data["n"] != len(entries):
+        raise DomainError("declared n does not match the number of rows")
     return tuple(tuple(map(cell, row)) for row in entries)
 
 
@@ -110,10 +113,7 @@ class CompositionTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CompositionTable":
-        rows = rows_from_json(data)
-        if "n" in data and data["n"] != len(rows):
-            raise DomainError("declared n does not match the number of rows")
-        return cls(rows)
+        return cls(rows_from_json(data))
 
     def to_json(self) -> dict:
         return {
@@ -184,21 +184,21 @@ def _triple_test(a: int, b: int, c: int, n: int):
     (ab)c and a(bc) are equal, NC absorbing.  Cell (i, j) is the variable
     ``i * n + j``, so int order is row-major order.  The test waits on
     (a, b), then on (b, c), then on whichever of (ab, c) and (a, bc) is
-    unbound, the first of them if both are; it reads no other cell.  No
-    cell value is None, so ``get`` tells an unbound cell."""
+    unbound, the first of them if both are; it reads no other cell.  An
+    unbound cell reads None."""
     kab = a * n + b
     kbc = b * n + c
     row_a = a * n
 
     def test(bound):
-        ab = bound.get(kab)
+        ab = bound[kab]
         if ab is None:
             return kab
-        bc = bound.get(kbc)
+        bc = bound[kbc]
         if bc is None:
             return kbc
-        left = NC if ab is NC else bound.get(ab * n + c)
-        right = NC if bc is NC else bound.get(row_a + bc)
+        left = NC if ab is NC else bound[ab * n + c]
+        right = NC if bc is NC else bound[row_a + bc]
         if left is None:
             if right is None:
                 return min(ab * n + c, row_a + bc)
@@ -257,10 +257,8 @@ def enumerate_associative_tables(
         yield _solution_table(solution, n)
 
 
-def _solution_table(solution: dict, n: int) -> CompositionTable:
-    return CompositionTable(
-        tuple(tuple(solution[i * n + j] for j in range(n)) for i in range(n))
-    )
+def _solution_table(solution: tuple, n: int) -> CompositionTable:
+    return CompositionTable(tuple(solution[i : i + n] for i in range(0, n * n, n)))
 
 
 def _symmetry_group(grid: Sequence[Sequence]) -> list:
@@ -295,10 +293,10 @@ def _lex_leader(walk: tuple, rank: dict, image_rank: dict):
 
     def test(bound):
         for cell, source in walk:
-            x = bound.get(cell)
+            x = bound[cell]
             if x is None:
                 return cell
-            y = bound.get(source)
+            y = bound[source]
             if y is None:
                 return source
             left = rank[x]

@@ -144,7 +144,7 @@ def _precedence(i: int):
     # solve_all binds variables in declaration order, so classes 0..i-1
     # are bound whenever class i is.
     def test(bound) -> bool:
-        return bound[i] <= 1 + max(bound[j] for j in range(i))
+        return bound[i] <= 1 + max(bound[:i])
 
     return test
 

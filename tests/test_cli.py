@@ -707,6 +707,12 @@ DB_ARGV = ["arrowtypes", "--max-arrows", "2", "--db", "db"]
             {"degrees": [2], "generators": [{"dom": 0, "cod": 0, "map": [-1, 0]}]},
             ["generate", "gens.json"],
         ),
+        # A partial table's declared n must match its rows, as a table's must.
+        (
+            "p.json",
+            {"n": 3, "entries": [[0] * 5] * 2 + [["?"] * 5] * 3},
+            ["enumerate-tables", "--size", "5", "--partial", "p.json", "--count-only"],
+        ),
     ],
 )
 def test_malformed_input_files_exit_two(

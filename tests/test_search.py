@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,51 +24,73 @@ from sgpoidkit.catalog import two_type_six_arrow
 
 
 def test_empty_problem_has_one_empty_solution():
-    assert list(solve_all(Problem())) == [{}]
+    assert list(solve_all(Problem())) == [()]
 
 
 def test_all_different_two_binary_variables():
     problem = Problem()
-    problem.add_variable("a", [0, 1])
-    problem.add_variable("b", [0, 1])
-    problem.add_all_different(["a", "b"])
-    assert list(solve_all(problem)) == [{"a": 0, "b": 1}, {"a": 1, "b": 0}]
+    problem.add_variable(0, [0, 1])
+    problem.add_variable(1, [0, 1])
+    problem.add_all_different([0, 1])
+    assert list(solve_all(problem)) == [(0, 1), (1, 0)]
 
 
 def test_domain_filtering():
     problem = Problem()
-    problem.add_variable("v", [0, 1, 2])
-    problem.add_relation(["v"], lambda v: v != 1)
-    assert [s["v"] for s in solve_all(problem)] == [0, 2]
+    problem.add_variable(0, [0, 1, 2])
+    problem.add_relation([0], lambda v: v != 1)
+    assert [s[0] for s in solve_all(problem)] == [0, 2]
 
 
 def test_empty_domain_is_unsatisfiable():
     problem = Problem()
-    problem.add_variable("v", [])
+    problem.add_variable(0, [])
     assert solve_first(problem) is None
 
 
 def test_solve_first_returns_lexicographic_first():
     problem = Problem()
-    problem.add_variable("a", [0, 1])
-    problem.add_variable("b", [0, 1])
-    problem.add_all_different(["a", "b"])
-    assert solve_first(problem) == {"a": 0, "b": 1}
+    problem.add_variable(0, [0, 1])
+    problem.add_variable(1, [0, 1])
+    problem.add_all_different([0, 1])
+    assert solve_first(problem) == (0, 1)
 
 
 def test_unknown_watched_variable_rejected():
-    problem = Problem()
-    problem.add_variable("a", [0])
-    problem.add_constraint(["ghost"], lambda bound: True)
-    with pytest.raises(ConfigurationError):
-        list(solve_all(problem))
+    for ghost in [1, -1, "ghost", True, None]:
+        problem = Problem()
+        problem.add_variable(0, [0])
+        problem.add_constraint([ghost], lambda bound: True)
+        with pytest.raises(ConfigurationError, match="unknown variable"):
+            list(solve_all(problem))
 
 
 def test_duplicate_variable_rejected():
     problem = Problem()
-    problem.add_variable("a", [0])
+    problem.add_variable(0, [0])
     with pytest.raises(ConfigurationError):
-        problem.add_variable("a", [1])
+        problem.add_variable(0, [1])
+
+
+@pytest.mark.parametrize(
+    "declared, var",
+    [([], 1), ([], "a"), ([], True), ([], False), ([0], 2), ([0, 1], 1)],
+    ids=["skips-0", "string", "true", "false", "skips-1", "duplicate"],
+)
+def test_variables_must_be_the_next_int(declared, var):
+    problem = Problem()
+    for v in declared:
+        problem.add_variable(v, [0])
+    with pytest.raises(ConfigurationError, match=re.escape(f"variable {var!r} is not")):
+        problem.add_variable(var, [1])
+    assert problem.domains == [[0]] * len(declared)
+
+
+def test_none_is_not_a_domain_value():
+    # None marks an unbound variable in the assignment.
+    problem = Problem()
+    with pytest.raises(ConfigurationError, match="None"):
+        problem.add_variable(0, [0, None])
 
 
 def test_early_termination_is_supported():
@@ -75,20 +98,20 @@ def test_early_termination_is_supported():
     for i in range(8):
         problem.add_variable(i, [0, 1])
     stream = solve_all(problem)
-    assert next(stream) == {i: 0 for i in range(8)}
+    assert next(stream) == (0,) * 8
     stream.close()
 
 
 def test_determinism_across_runs():
     problem = Problem()
-    problem.add_variable("x", [2, 0, 1])
-    problem.add_variable("y", [1, 0])
-    problem.add_relation(["x", "y"], lambda x, y: x != y)
+    problem.add_variable(0, [2, 0, 1])
+    problem.add_variable(1, [1, 0])
+    problem.add_relation([0, 1], lambda x, y: x != y)
     first = list(solve_all(problem))
     second = list(solve_all(problem))
     assert first == second
     # Value order follows domain order, not numeric order.
-    assert first[0] == {"x": 2, "y": 1}
+    assert first[0] == (2, 1)
 
 
 def _random_problem(domain_sizes, relations):
@@ -125,7 +148,7 @@ def test_matches_cartesian_filter(data):
         if all(
             (values[i], values[j]) in allowed for (i, j), allowed in relations
         ):
-            expected.append({i: v for i, v in enumerate(values)})
+            expected.append(values)
 
     assert list(solve_all(_random_problem(domain_sizes, relations))) == expected
 
@@ -134,7 +157,7 @@ def _waiting_test(watches, func):
     # Waits on each unbound variable of ``watches`` in turn.
     def test(bound):
         for w in watches:
-            if w not in bound:
+            if bound[w] is None:
                 return w
         return func(*(bound[w] for w in watches))
 
@@ -175,7 +198,7 @@ def test_waiting_constraints_match_static_watches(data):
         return problem
 
     expected = [
-        dict(enumerate(values))
+        values
         for values in itertools.product(*(range(s) for s in domain_sizes))
         if all(
             tuple(values[w] for w in watches) in allowed
@@ -186,48 +209,71 @@ def test_waiting_constraints_match_static_watches(data):
         assert list(solve_all(build(waiting))) == expected
 
 
-def test_waiting_on_an_unknown_variable_is_rejected():
+def _rejects_answer(answer, watches):
+    # The test gives its answer once, then True: a solver that took the
+    # answer as a wait would end without an error.
+    answers = iter([answer])
     problem = Problem()
-    problem.add_variable("a", [0, 1])
-    problem.add_constraint(["a"], lambda bound: "ghost")
-    with pytest.raises(ConfigurationError, match="unknown variable 'ghost'"):
+    problem.add_variable(0, [0, 1])
+    problem.add_variable(1, [0, 1])
+    problem.add_constraint(watches, lambda bound: next(answers, True))
+    with pytest.raises(ConfigurationError, match=re.escape(f"returned {answer!r}, not True")):
         list(solve_all(problem))
+
+
+def test_waiting_on_an_unknown_variable_is_rejected():
+    # -1 would otherwise read the last variable.  An unwatched test is
+    # first run before any variable is bound, a watched one after.
+    for answer in ["ghost", 2, -1]:
+        for watches in ([], [0]):
+            _rejects_answer(answer, watches)
+
+
+@pytest.mark.parametrize("watches", [[], [0]], ids=["unwatched", "watched"])
+@pytest.mark.parametrize("answer", [[1], None, "1", 1.0, 0.5], ids=repr)
+def test_answers_that_are_not_variables_are_rejected(answer, watches):
+    # Only True, False and an unbound variable 0..N-1 are answers.
+    _rejects_answer(answer, watches)
 
 
 def test_waiting_on_a_bound_variable_is_rejected():
     problem = Problem()
-    problem.add_variable("a", [0, 1])
-    problem.add_variable("b", [0, 1])
-    problem.add_constraint(["b"], lambda bound: "a")
-    with pytest.raises(ConfigurationError, match="bound variable 'a'"):
+    problem.add_variable(0, [0, 1])
+    problem.add_variable(1, [0, 1])
+    problem.add_constraint([1], lambda bound: 0)
+    with pytest.raises(ConfigurationError, match="returned 0, not True"):
         list(solve_all(problem))
 
 
 def test_waiting_on_int_variable_zero():
-    # Variable 0 is bound after variable 1.  A test that returns 0 waits on
-    # it rather than failing, and the answer 1 is variable 1, not True.
+    # An unwatched test runs before any variable is bound.  Its answer 0
+    # waits on variable 0 rather than failing, and its answer 1, once
+    # variable 0 is bound, is variable 1, not True.
     problem = Problem()
-    problem.add_variable(1, [0, 1, 2])
     problem.add_variable(0, [0, 1, 2])
-    waits = []
+    problem.add_variable(1, [0, 1, 2])
+    answers = []
 
     def test(bound):
-        if 0 not in bound:
-            waits.append(0)
-            return 0
-        return bound[0] + bound[1] == 2
+        if bound[0] is None:
+            answer = 0
+        elif bound[1] is None:
+            answer = 1
+        else:
+            answer = bound[0] + bound[1] == 2
+        answers.append(answer)
+        return answer
 
-    problem.add_constraint([1], test)
-    assert list(solve_all(problem)) == [
-        {1: 0, 0: 2}, {1: 1, 0: 1}, {1: 2, 0: 0}
-    ]
-    assert waits
+    problem.add_constraint([], test)
+    assert list(solve_all(problem)) == [(0, 2), (1, 1), (2, 0)]
+    assert answers[:2] == [0, 1]
+    assert False in answers
 
     problem = Problem()
     problem.add_variable(0, [0, 1])
     problem.add_variable(1, [0, 1])
-    problem.add_constraint([0], lambda bound: 1 if 1 not in bound else bound[1] != bound[0])
-    assert list(solve_all(problem)) == [{0: 0, 1: 1}, {0: 1, 1: 0}]
+    problem.add_constraint([0], lambda bound: 1 if bound[1] is None else bound[1] != bound[0])
+    assert list(solve_all(problem)) == [(0, 1), (1, 0)]
 
 
 def test_relation_results_are_read_as_bools():
@@ -236,7 +282,7 @@ def test_relation_results_are_read_as_bools():
     problem = Problem()
     problem.add_variable(0, [0, 1, 2])
     problem.add_relation([0], lambda v: v % 2)
-    assert list(solve_all(problem)) == [{0: 1}]
+    assert list(solve_all(problem)) == [(1,)]
 
 
 def test_moves_are_undone_on_backtrack():
@@ -246,16 +292,17 @@ def test_moves_are_undone_on_backtrack():
     # when forward checking trims y's domain, and once per binding of y
     # below it: 3 * (1 + 2 + 2) tests.  Left undone, the move would add a
     # copy per value of x, and 3 * 5 + 2 + 4 tests.
+    x, y = 0, 1
     problem = Problem()
-    problem.add_variable("x", [0, 1, 2])
-    problem.add_variable("y", [0, 1])
+    problem.add_variable(x, [0, 1, 2])
+    problem.add_variable(y, [0, 1])
     calls = []
 
     def test(bound):
-        calls.append(dict(bound))
-        return "y" if "y" not in bound else True
+        calls.append(list(bound))
+        return y if bound[y] is None else True
 
-    problem.add_constraint(["x"], test)
+    problem.add_constraint([x], test)
     assert len(list(solve_all(problem))) == 6
     assert len(calls) == 3 * (1 + 2 + 2)
 

@@ -381,6 +381,47 @@ def test_orbit_count_of_seeded_partial_grids_matches_listing():
     assert symmetric >= 10 and with_nc >= 10 and completed >= 20
 
 
+_oracle_tables = functools.lru_cache(maxsize=None)(brute_force_tables)
+
+
+def test_seeded_partial_listings_match_oracle():
+    # Grids cut from an associative table, some with one cell overwritten
+    # by a random value, searched with and without NC.  Fixed cells are
+    # taken as given, so a fixed NC cell is searched without NC too: the
+    # oracle then filters the NC listing, whose order (row-major, NC last)
+    # keeps the search's.
+    kinds = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.choice((1, 2, 3))
+        source = rng.choice(_oracle_tables(n, True))
+        share = rng.choice((0.2, 0.4, 0.6))
+        cells = [[source[i][j] if rng.random() < share else UNSET for j in range(n)]
+                 for i in range(n)]
+        if seed % 3 == 0:
+            cells[rng.randrange(n)][rng.randrange(n)] = rng.choice(list(range(n)) + [None])
+        allow_nc = rng.random() < 0.5
+        fixed = [(i, j, v) for i, row in enumerate(cells) for j, v in enumerate(row)
+                 if v is not UNSET]
+        has_nc = any(v is None for _, _, v in fixed)
+        expected = [
+            t for t in _oracle_tables(n, allow_nc or has_nc)
+            if all(t[i][j] == v for i, j, v in fixed)
+            and (allow_nc or all(
+                t[i][j] is not None
+                for i in range(n) for j in range(n) if cells[i][j] is UNSET
+            ))
+        ]
+        partial = [[NC if v is None else v for v in row] for row in cells]
+        listed = [grid(t) for t in enumerate_associative_tables(n, allow_nc, partial)]
+        assert listed == expected, (seed, cells, allow_nc)
+        kinds.update({
+            "n3": n == 3, "nc": allow_nc, "fixed-nc": has_nc and not allow_nc,
+            "empty": not expected, "several": len(expected) > 1,
+        })
+    assert min(kinds[k] for k in ("n3", "nc", "fixed-nc", "empty", "several")) >= 5, kinds
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_symmetry_group_of_random_partial_grids_matches_brute_force(data):
