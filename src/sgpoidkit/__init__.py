@@ -56,7 +56,6 @@ from .arrowtype import (
     digraph_isomorphisms,
     enumerate_brute_force,
     enumerate_by_closure,
-    enumerate_incremental,
     extend_census,
     functional_digraph_count,
     graph_composition_table,

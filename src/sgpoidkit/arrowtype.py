@@ -9,9 +9,11 @@ and keeps each class in a database as its canonical code: the sorted codes
 a * m + b of the arcs (a, b) of its lexicographically least relabeling on m
 objects, found by a search that labels one object at a time, branches only
 on tied rows and skips branches an automorphism maps onto explored ones.
-Both extension methods run one row step in ascending row order; it adds
-one arc to every stored class of a row, closes the result, and inserts
-the children that pass a canonical-deletion filter.
+One driver, :func:`extend_census`, runs every method as one loop over the
+rows in ascending order and marks each row covered as it completes it: the
+extension methods add one arc to every stored class of the row below,
+close the result, and insert the children that pass a canonical-deletion
+filter; brute force scans the row's uncovered cells.
 
 Node sets are always derived from the arcs themselves, never from
 positions, so an "isolated node" simply cannot be expressed; this avoids
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
-from .errors import DomainError, ResourceLimitError, StaleDatabaseError
+from .errors import DomainError, ResourceLimitError, StaleDatabaseError, check_count
 from .morphisms import ArrowMap, _morphism_solutions
 # Unused here; perfbench/test_perfbench.py checks that its tracer rebinds
 # solve_all in this module.
@@ -295,9 +297,7 @@ def one_more_arrow(arcs, m: int, added_object: bool = False) -> list:
     the arcs are closed, adding one arc leaves them closed exactly when its
     one-pass closure in :func:`_closed_extensions` adds nothing else.
     """
-    if type(m) is not int or m < added_object:
-        least = int(added_object)
-        raise DomainError(f"object count {m!r} is not an int of at least {least}")
+    check_count(m, "object count", int(added_object))
     arcs = frozenset(map(tuple, arcs))
     existing = m - added_object
     if not all(
@@ -723,11 +723,6 @@ class ClassDatabase:
                 return k
         return max_arrows + 1
 
-    def covers(self, max_arrows: int, max_objects: int) -> bool:
-        """True when every class with 1..max_arrows arcs and at most
-        max_objects objects is stored."""
-        return self.first_uncovered(max_arrows, max_objects) > max_arrows
-
     def insert(self, graph) -> bool:
         """Record the class of ``graph`` (an :class:`ArrowTypeGraph` or an
         arc set); True when it was new."""
@@ -845,14 +840,6 @@ def _bucket_text(m: int, n: int, bucket: set) -> str:
     )
 
 
-def seed(database: ClassDatabase) -> ClassDatabase:
-    """Ensure the empty graph class is present (the only 0-arc class)."""
-    if not database.count(0, 0):
-        database.insert(frozenset())
-    database.complete_arrows = max(database.complete_arrows, 0)
-    return database
-
-
 def enumerate_brute_force(n_arrows: int, m_objects: int) -> List[ArrowTypeGraph]:
     """All classes with exactly n arcs and exactly m non-isolated objects,
     by scanning arc sets directly.
@@ -877,8 +864,8 @@ def enumerate_brute_force(n_arrows: int, m_objects: int) -> List[ArrowTypeGraph]
     are deduplicated by canonical form.  Guarded by the number of scan
     nodes, BRUTE_FORCE_LIMIT.
     """
-    if n_arrows < 1 or m_objects < 1:
-        raise DomainError("arc and object counts must be positive")
+    check_count(n_arrows, "arc count")
+    check_count(m_objects, "object count")
     m = m_objects
     limit = BRUTE_FORCE_LIMIT
     slots = [(d, c) for d in range(m) for c in range(m)]
@@ -950,15 +937,6 @@ def _swap_shrinks(arcs: list, m: int) -> bool:
     return False
 
 
-def _check_incremental_target(target_arrows: int) -> None:
-    if target_arrows > INCREMENTAL_ARROW_LIMIT:
-        raise DomainError(
-            f"the incremental method misses classes from "
-            f"{INCREMENTAL_ARROW_LIMIT + 1} arcs on (the complete graph on "
-            f"three objects); asked for {target_arrows}"
-        )
-
-
 def _extend_row(database: ClassDatabase, n: int, max_arrows: int, max_objects: int) -> None:
     """Insert the closed one-arc extensions of every stored class with n
     arcs on at most max_objects objects, keeping those with at most
@@ -1005,63 +983,13 @@ def _extend_row(database: ClassDatabase, n: int, max_arrows: int, max_objects: i
                 database.insert(closed)
 
 
-def enumerate_incremental(
-    database: ClassDatabase, target_arrows: int, max_objects: Optional[int] = None
-) -> ClassDatabase:
-    """Extend a database that covers rows 1..target_arrows-1 up to
-    max_objects objects (all objects by default) with every class on at
-    most max_objects objects reachable by one new arc: between existing
-    objects, touching one fresh object, or as a detached arc on two fresh
-    objects.  This is one :func:`_extend_row` step on row target_arrows-1,
-    whose children with target_arrows arcs are its one-arc extensions.
-
-    Classes in which every arc is forced by a two-step path (the complete
-    graph on three or more objects is the smallest, at nine arcs) are not
-    reachable this way, so targets past INCREMENTAL_ARROW_LIMIT are
-    refused.  Below that threshold every class has a removable arc, whose
-    deletion leaves a class of the covered row target_arrows-1, so the
-    argument at :func:`_extend_row` shows the method exhaustive; the
-    cross-method tests confirm it through row 8.
-    """
-    _check_incremental_target(target_arrows)
-    if max_objects is None:
-        max_objects = 2 * target_arrows
-    if target_arrows < 1 or max_objects < 1:
-        raise DomainError("arc and object counts must be positive")
-    seed(database)
-    if not database.covers(target_arrows - 1, max_objects):
-        raise StaleDatabaseError(
-            f"database does not cover {target_arrows - 1} arcs on up to "
-            f"{max_objects} objects"
-        )
-    _extend_row(database, target_arrows - 1, target_arrows, max_objects)
-    database.mark_covered(target_arrows, max_objects)
-    return database
-
-
 def enumerate_by_closure(
     database: ClassDatabase,
     max_arrows: int,
     max_objects: Optional[int] = None,
 ) -> ClassDatabase:
-    """Grow the database to every class with at most max_arrows arcs on at
-    most max_objects objects by adding one arc to a stored class and taking
-    the transitive closure: one :func:`_extend_row` step on each row
-    0..max_arrows-1, in ascending order.  Closing can add several arcs at
-    once, which jumps the gaps the purely additive method cannot cross.
-
-    Every child has more arcs than its parent, so each row is complete
-    before it is extended, and each stored class is extended once.  Stored
-    classes on more than max_objects objects are not extended, so no class
-    beyond the bound is stored.
-    """
-    if max_objects is None:
-        max_objects = 2 * max_arrows
-    seed(database)
-    for n in range(max_arrows):
-        _extend_row(database, n, max_arrows, max_objects)
-    for k in range(1, max_arrows + 1):
-        database.mark_covered(k, max_objects)
+    """:func:`extend_census` by the closure method; returns the database."""
+    extend_census(database, "closure", max_arrows, max_objects)
     return database
 
 
@@ -1073,33 +1001,57 @@ def extend_census(
 ) -> bool:
     """Make the database cover every class with 1..max_arrows arcs on at
     most max_objects objects (all objects by default), by the "closure",
-    "incremental" or "brute" method.  The incremental and brute-force
-    methods start from the first row the database does not cover, and
-    brute force scans only the cells past each row's coverage.  False when
-    the database already covered the request and nothing ran."""
+    "incremental" or "brute" method.  False when the database already
+    covered the request and nothing ran.
+
+    One loop over the rows n, in ascending order, completes row n and marks
+    it covered.  Row n is complete once every row below it has been
+    extended, since every child has more arcs than its parent (see
+    :func:`_extend_row`).  Closure extends row n - 1 by one arc and takes
+    the transitive closure, keeping children up to max_arrows arcs.  Closing
+    can add several arcs at once, which jumps the gaps the purely additive
+    method cannot cross, so a class of an uncovered row may come from any
+    row below it: closure starts at row 1 and extends each stored class
+    once.  Stored classes on more than max_objects objects are not
+    extended, so no class beyond the bound is stored.
+
+    The incremental method extends row n - 1 and keeps only the children
+    with n arcs, its one-arc extensions.  Classes in which every arc is
+    forced by a two-step path (the complete graph on three or more objects
+    is the smallest, at nine arcs) are not reachable this way, so rows past
+    INCREMENTAL_ARROW_LIMIT are refused.  Below that every class has a
+    removable arc, whose deletion leaves a class of the covered row n - 1,
+    so the argument at :func:`_extend_row` shows the method exhaustive; the
+    cross-method tests confirm it through row 8.  Brute force scans the
+    cells of row n past its coverage.  These two start at the first row
+    the database does not cover.
+    """
     if method not in ("closure", "incremental", "brute"):
         raise DomainError(f"unknown census method {method!r}")
+    check_count(max_arrows, "arc count")
     if max_objects is None:
         max_objects = 2 * max_arrows
-    if max_arrows < 1 or max_objects < 1:
-        raise DomainError("arc and object counts must be positive")
-    if method == "incremental":
-        _check_incremental_target(max_arrows)  # before any row is built
+    check_count(max_objects, "object count")
+    if method == "incremental" and max_arrows > INCREMENTAL_ARROW_LIMIT:
+        raise DomainError(
+            f"the incremental method misses classes from "
+            f"{INCREMENTAL_ARROW_LIMIT + 1} arcs on (the complete graph on "
+            f"three objects); asked for {max_arrows}"
+        )
     start = database.first_uncovered(max_arrows, max_objects)
     if start > max_arrows:
         return False
-    if method == "closure":
-        enumerate_by_closure(database, max_arrows, max_objects)
-    elif method == "incremental":
-        for n in range(start, max_arrows + 1):
-            enumerate_incremental(database, n, max_objects)
-    else:
-        seed(database)
-        for n in range(start, max_arrows + 1):
+    if not database.count(0, 0):
+        database.insert(frozenset())  # the only 0-arc class
+    for n in range(1 if method == "closure" else start, max_arrows + 1):
+        if method == "brute":
             for m in range(database.coverage(n) + 1, min(2 * n, max_objects) + 1):
                 for graph in enumerate_brute_force(n, m):
                     database.insert(graph)
-            database.mark_covered(n, max_objects)
+        else:
+            keep = max_arrows if method == "closure" else n
+            _extend_row(database, n - 1, keep, max_objects)
+        database.mark_covered(n, max_objects)
     return True
 
 
@@ -1124,8 +1076,7 @@ def functional_digraph_count(degree: int) -> int:
     """Isomorphism classes of the digraphs {(x, f(x))} over all
     transformations f of ``degree`` points; fixed points become loops and
     parallel arcs cannot arise since each x has one out-arc."""
-    if degree < 1:
-        raise DomainError("degree must be positive")
+    check_count(degree, "degree")
     if degree > FUNCTIONAL_DEGREE_LIMIT:
         raise ResourceLimitError(
             f"functional digraph census limited to degree {FUNCTIONAL_DEGREE_LIMIT}"

@@ -170,10 +170,11 @@ def _cmd_arrowtypes(opts: dict) -> int:
     if max_objects is None:
         max_objects = 2 * max_arrows
     db_dir = opts["db"] or os.environ.get("SGPOIDKIT_DB")
-    if db_dir and os.path.isdir(db_dir) and os.listdir(db_dir):
+    database = ClassDatabase()
+    if db_dir and os.path.lexists(db_dir):
+        if not os.path.isdir(db_dir):
+            raise DomainError(f"database path {db_dir!r} is not a directory")
         database = ClassDatabase.load(db_dir)
-    else:
-        database = ClassDatabase()
     if extend_census(database, opts["method"], max_arrows, max_objects) and db_dir:
         database.save(db_dir)
     counts = count_table(database, max_arrows, max_objects)

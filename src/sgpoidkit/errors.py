@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the check of count arguments."""
 
 
 class SgpoidkitError(Exception):
@@ -21,3 +21,10 @@ class ResourceLimitError(SgpoidkitError):
 
 class StaleDatabaseError(SgpoidkitError):
     """A class database does not cover the requested range."""
+
+
+def check_count(value, what: str, least: int = 1) -> None:
+    """Refuse, with :class:`DomainError`, a count that is not an int (a bool
+    is not one) or is below ``least``."""
+    if type(value) is not int or value < least:
+        raise DomainError(f"{what} {value!r} is not an int of at least {least}")

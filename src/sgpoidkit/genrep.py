@@ -28,7 +28,7 @@ from .arrowtype import (
     canonical_form,
     is_transitively_closed,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_count
 from .morphisms import ArrowMap, _morphism_solutions
 from .tables import NC, CompositionTable, is_associative, _Marker
 from .typestructure import minimal_objects, typing_orbits
@@ -333,6 +333,8 @@ def minimal_representation(
     there unless ``max_total`` narrows it.  The table with no arrows is
     refused: its one typing uses no object, so it yields no candidate.
     """
+    if max_total is not None:
+        check_count(max_total, "max_total")
     if abstract.n == 0:
         raise DomainError("the table with no arrows has no minimal representation")
     if not is_associative(abstract):

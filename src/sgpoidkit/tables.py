@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .search import Problem, solve_all
 
 
@@ -215,8 +215,7 @@ def _table_problem(n: int, allow_nc: bool, partial) -> tuple:
     per cell, the int ``i * n + j`` for cell (i, j), declared in row-major
     order, and one constraint per triple, with the grid of fixed and UNSET
     cells it was built from."""
-    if n < 1:
-        raise DomainError("table size must be at least 1")
+    check_count(n, "table size")
     if partial is not None:
         grid = [list(row) for row in partial]
         if len(grid) != n or any(len(row) != n for row in grid):

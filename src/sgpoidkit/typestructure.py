@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .search import Problem, solve_all, solve_first
 from .tables import NC, CompositionTable, is_associative
 
@@ -152,8 +152,7 @@ def _precedence(i: int):
 def _solutions(
     table: CompositionTable, m: int, orbits: bool
 ) -> Iterator[TypeStructure]:
-    if m < 1:
-        raise DomainError("object count must be at least 1")
+    check_count(m, "object count")
     reduced = _typing_classes(table)
     if reduced is None:
         return

@@ -22,7 +22,7 @@ from sgpoidkit import (
     enumerate_associative_tables,
     enumerate_brute_force,
     enumerate_by_closure,
-    enumerate_incremental,
+    extend_census,
     find_morphisms,
     first_nonassociative_triple,
     full_transformation_sgpoid,
@@ -152,8 +152,7 @@ def census_row4():
     closure_db = ClassDatabase()
     enumerate_by_closure(closure_db, 4)
     incremental_db = ClassDatabase()
-    for n in range(1, 5):
-        enumerate_incremental(incremental_db, n)
+    assert extend_census(incremental_db, "incremental", 4)
     brute = {
         (n, m): {g.sorted_arcs for g in enumerate_brute_force(n, m)}
         for n in range(1, 5)
@@ -188,8 +187,7 @@ def _census_row_by_three_methods(n):
     closure_db = ClassDatabase()
     enumerate_by_closure(closure_db, n)
     incremental_db = ClassDatabase()
-    for k in range(1, n + 1):
-        enumerate_incremental(incremental_db, k)
+    assert extend_census(incremental_db, "incremental", n)
     for m in range(1, 2 * n + 1):
         classes = {g.sorted_arcs for g in enumerate_brute_force(n, m)}
         assert len(classes) == TABLE_ROWS[n][m - 1], m

@@ -12,26 +12,30 @@ from hypothesis import given, settings, strategies as st
 from sgpoidkit import (
     ArrowTypeGraph,
     ClassDatabase,
+    CompositionTable,
     DomainError,
     ResourceLimitError,
     StaleDatabaseError,
     arrow_type_of,
+    associative_table_orbits,
     canonical_form,
     check_morphism,
     count_table,
     digraph_isomorphisms,
+    enumerate_associative_tables,
     enumerate_brute_force,
     enumerate_by_closure,
-    enumerate_incremental,
     extend_census,
     functional_digraph_count,
     graph_composition_table,
     infer_types,
     is_transitively_closed,
+    minimal_representation,
     one_more_arrow,
     signature,
     transitive_closure,
     type_quotient_map,
+    typing_orbits,
 )
 from sgpoidkit.arrowtype import (
     _arcs_of,
@@ -40,7 +44,6 @@ from sgpoidkit.arrowtype import (
     _closure_arcs,
     _extension_orbits,
     _parent_masks,
-    seed,
 )
 
 from .oracles import (
@@ -649,16 +652,30 @@ def test_brute_force_inserts_first_appearance_orders_only(monkeypatch):
 def test_incremental_matches_brute_through_four():
     database = ClassDatabase()
     for n in range(1, 5):
-        enumerate_incremental(database, n)
+        assert extend_census(database, "incremental", n)
     for n in range(1, 5):
         for m in range(1, 2 * n + 1):
             assert database.count(n, m) == len(enumerate_brute_force(n, m)), (n, m)
 
 
-def test_incremental_requires_complete_database():
+def test_incremental_builds_from_the_first_uncovered_row(monkeypatch):
+    # Row 2 covered to 3 of its 4 objects: the incremental method extends
+    # rows 1 to 5 and stores row 2's class on 4 objects (two detached arcs).
     database = ClassDatabase()
-    with pytest.raises(StaleDatabaseError):
-        enumerate_incremental(database, 3)
+    assert extend_census(database, "closure", 3, 3)
+    import sgpoidkit.arrowtype as arrowtype
+
+    extended = []
+    original = arrowtype._extend_row
+
+    def recording_extend_row(database, n, max_arrows, max_objects):
+        extended.append((n, max_arrows))
+        original(database, n, max_arrows, max_objects)
+
+    monkeypatch.setattr(arrowtype, "_extend_row", recording_extend_row)
+    assert extend_census(database, "incremental", 6)
+    assert extended == [(n, n + 1) for n in range(1, 6)]
+    assert [sum(row) for row in count_table(database, 6, 12)] == [2, 7, 21, 70, 218, 721]
 
 
 def test_closure_method_rows_and_sums():
@@ -694,7 +711,7 @@ def test_staged_extensions_match_brute_force(staging, brute_six):
         assert extend_census(database, method, 6)
         for k in range(1, 7):
             assert database.classes(k) == brute_six.classes(k), (method, k)
-        assert database.covers(6, 12)
+        assert database.first_uncovered(6, 12) == 7
 
 
 def test_row_eight_by_closure_and_incremental():
@@ -832,7 +849,7 @@ def test_load_does_not_trust_rows_an_earlier_version_overextended(tmp_path, caps
     database.insert({(0, 0), (0, 1), (1, 1), (2, 3), (4, 5)})
     database.save(tmp_path / "db")
     loaded = ClassDatabase.load(tmp_path / "db")
-    assert loaded.count(5, 6) == 1 and not loaded.covers(4, 3)
+    assert loaded.count(5, 6) == 1 and loaded.first_uncovered(4, 3) == 4
     argv = ["arrowtypes", "--max-arrows", "5", "--max-objects", "6",
             "--db", str(tmp_path / "db"), "--emit-table", "json"]
     assert run(argv) == 0
@@ -875,7 +892,7 @@ def test_extension_inserts_only_new_rows(monkeypatch):
     assert [sum(row) for row in count_table(database, 6, 12)][-2:] == [218, 721]
     # Incremental and brute force skip the covered rows and cells too.
     inserted.clear()
-    enumerate_incremental(database, 7, 3)
+    assert extend_census(database, "incremental", 7, 3)
     assert set(inserted) == {(7, 3)}
     inserted.clear()
     assert extend_census(database, "brute", 7, 4)
@@ -891,20 +908,19 @@ def test_closure_stores_no_class_past_its_object_bound():
     enumerate_by_closure(database, 5, 2)
     assert database.classes(4) == database.classes(4, 2)
     assert database.classes(5) == []
-    assert database.coverage(4) == 2 and not database.covers(4, 3)
+    assert database.coverage(4) == 2 and database.first_uncovered(4, 3) == 4
 
 
 def test_incremental_honours_max_objects():
     database = ClassDatabase()
     for n in range(1, 7):
-        enumerate_incremental(database, n, 3)
+        assert extend_census(database, "incremental", n, 3)
     full = ClassDatabase()
     enumerate_by_closure(full, 6, 3)
     for n in range(1, 7):
         assert database.classes(n) == full.classes(n), n
     assert max(g.m for g in database.classes()) == 3
-    with pytest.raises(StaleDatabaseError):
-        enumerate_incremental(database, 7)  # row 6 covered to 3 objects only
+    assert database.first_uncovered(6, 12) == 2  # covered to 3 objects only
 
 
 def test_incremental_refuses_counts_below_one():
@@ -912,16 +928,51 @@ def test_incremental_refuses_counts_below_one():
     # ValueError, and 0 objects to mark row 2 covered with nothing stored.
     database = ClassDatabase()
     for target, objects in ((0, None), (-1, 4), (2, 0)):
-        with pytest.raises(DomainError, match="must be positive"):
-            enumerate_incremental(database, target, objects)
+        with pytest.raises(DomainError, match="is not an int of at least 1"):
+            extend_census(database, "incremental", target, objects)
     assert database.total() == 0 and database.complete_arrows == -1
+
+
+ONE_ARROW = CompositionTable(((0,),))
+# Each call used to answer for 1, run on a float, or mark rows covered with
+# nothing stored; the counts of the census and of the other public entry
+# points are refused alike.
+NOT_COUNTS = {
+    "census-bool": lambda: extend_census(ClassDatabase(), "closure", True),
+    "census-float-objects": lambda: extend_census(ClassDatabase(), "closure", 2, 2.5),
+    "census-float-arcs": lambda: extend_census(ClassDatabase(), "brute", 1.0),
+    "closure-zero-objects": lambda: enumerate_by_closure(ClassDatabase(), 2, 0),
+    "brute-bool": lambda: enumerate_brute_force(True, 2),
+    "brute-float": lambda: enumerate_brute_force(2, 2.0),
+    "functional-bool": lambda: functional_digraph_count(True),
+    "functional-float": lambda: functional_digraph_count(2.0),
+    "tables-bool": lambda: list(enumerate_associative_tables(True)),
+    "orbits-bool": lambda: list(associative_table_orbits(True)),
+    "represent-bool": lambda: minimal_representation(ONE_ARROW, max_total=True),
+    "infer-types-float": lambda: list(infer_types(ONE_ARROW, 1.0)),
+    "typing-orbits-bool": lambda: list(typing_orbits(ONE_ARROW, True)),
+}
+
+
+@pytest.mark.parametrize("case", NOT_COUNTS)
+def test_counts_must_be_ints_of_at_least_one(case):
+    with pytest.raises(DomainError, match="is not an int of at least 1"):
+        NOT_COUNTS[case]()
+
+
+def test_closure_extends_from_row_one_since_closing_jumps_rows():
+    # Rows 1 to 8 are covered, but the complete graph on three objects has no
+    # removable arc: only a closure that adds several arcs reaches it.
+    database = ClassDatabase()
+    assert extend_census(database, "incremental", 8, 3)
+    assert extend_census(database, "closure", 9, 3)
+    complete = frozenset(itertools.product(range(3), repeat=2))
+    assert database.classes(9) == [ArrowTypeGraph(3, complete)]
 
 
 def test_incremental_refuses_rows_it_cannot_reach():
     database = ClassDatabase()
     with pytest.raises(DomainError, match="complete graph on three objects"):
-        enumerate_incremental(database, 9, 3)
-    with pytest.raises(DomainError):
         extend_census(database, "incremental", 9, 3)
     assert database.total() == 0
 
@@ -930,8 +981,7 @@ def test_methods_agree_through_three():
     closure_db = ClassDatabase()
     enumerate_by_closure(closure_db, 3)
     incremental_db = ClassDatabase()
-    for n in range(1, 4):
-        enumerate_incremental(incremental_db, n)
+    assert extend_census(incremental_db, "incremental", 3)
     for n in range(1, 4):
         for m in range(1, 2 * n + 1):
             brute = {g.sorted_arcs for g in enumerate_brute_force(n, m)}
@@ -1054,8 +1104,8 @@ def test_save_failure_while_renaming_leaves_a_sound_database(tmp_path, monkeypat
         for k in range(1, 5):
             for m in range(1, loaded.coverage(k) + 1):
                 assert loaded.count(k, m) == new.count(k, m), (cut, k, m)
-        assert loaded.covers(1, 2)
-        assert loaded.covers(4, 8) == (cut == files)
+        assert loaded.first_uncovered(1, 2) == 2
+        assert (loaded.first_uncovered(4, 8) == 5) == (cut == files)
 
 
 # sha256 of json.dumps([g.to_json() for g in classes()]) after the 6-arc
@@ -1167,7 +1217,9 @@ def test_graph_composition_table_requires_closure():
         graph_composition_table(ArrowTypeGraph.from_arcs({(0, 1), (1, 2)}))
 
 
-def test_seeded_database_is_complete_for_zero():
-    database = seed(ClassDatabase())
-    assert database.complete_arrows == 0
-    assert database.total() == 1
+def test_census_stores_the_empty_class():
+    for method in ("closure", "incremental", "brute"):
+        database = ClassDatabase()
+        assert extend_census(database, method, 1)
+        assert database.classes(0) == [ArrowTypeGraph(0, frozenset())], method
+        assert database.complete_arrows == 1 and database.total() == 3, method

@@ -1,7 +1,10 @@
 import hashlib
+import importlib
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -409,7 +412,7 @@ def test_arrowtypes_bounds_below_one_exit_two(bounds, capsys):
     assert run(["arrowtypes"] + bounds) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "arc and object counts must be positive" in captured.err
+    assert f"count {bounds[-1]} is not an int of at least 1" in captured.err
 
 
 def test_arrowtypes_db_env_var(tmp_path, capsys, monkeypatch):
@@ -417,6 +420,46 @@ def test_arrowtypes_db_env_var(tmp_path, capsys, monkeypatch):
     assert run(["arrowtypes", "--max-arrows", "2"]) == 0
     capsys.readouterr()
     assert (tmp_path / "envdb" / "meta.json").exists()
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_arrowtypes_db_path_that_is_a_file_exits_two(via_env, tmp_path, capsys, monkeypatch):
+    # Refused before any search, not after the census when saving fails.
+    import sgpoidkit.cli as cli
+
+    def no_census(*args):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(cli, "extend_census", no_census)
+    path = tmp_path / "db"
+    path.write_text("")
+    argv = ["arrowtypes", "--max-arrows", "2"]
+    if via_env:
+        monkeypatch.setenv("SGPOIDKIT_DB", str(path))
+    else:
+        argv += ["--db", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{str(path)!r} is not a directory" in captured.err
+
+
+def test_benchmark_reaches_every_name_it_traces(monkeypatch):
+    # perfbench/run.py reads each per-layer metric from a function that its
+    # tracer wraps by name, so a deleted or renamed one raises KeyError here;
+    # perfbench/make_expected.py calls enumerate_by_closure.
+    import sgpoidkit.cli  # the tracer wraps the layers it imports
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    for name in ("run", "tracing", "harness", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    bench = importlib.import_module("run")
+    tracing = importlib.import_module("tracing")
+    with tracing.Tracer() as tracer:
+        pass
+    for name, _, _, get in bench.PER_LAYER:
+        get(tracer)
+    assert callable(sgpoidkit.enumerate_by_closure)
 
 
 def test_generate_vessels(tmp_path, vessels, capsys):
